@@ -27,9 +27,8 @@ if str(_REPO_ROOT / "src") not in sys.path:
 
 from repro.bench.baseline import (  # noqa: E402 - path bootstrap above
     DEFAULT_TOLERANCE,
-    capture_baseline,
+    capture_run,
     compare_metrics,
-    default_tolerances,
     format_report,
     headline_metrics,
     load_baseline,
@@ -45,12 +44,11 @@ def _cmd_capture(args):
     metrics = headline_metrics(load_report(args.json))
     if not metrics:
         raise BenchmarkError(f"no metrics found in {args.json!r}")
-    doc = capture_baseline(
+    doc = capture_run(
         metrics,
         tolerance=args.tolerance,
         captured_at=datetime.date.today().isoformat(),
         notes=args.notes,
-        tolerances=default_tolerances(metrics),
     )
     write_baseline(doc, args.out)
     print(f"captured {len(metrics)} metrics to {args.out}")

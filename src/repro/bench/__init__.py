@@ -11,6 +11,7 @@ from repro.bench.baseline import (
     ComparisonReport,
     MetricCheck,
     capture_baseline,
+    capture_run,
     compare_metrics,
     default_tolerances,
     format_report,
@@ -25,6 +26,7 @@ __all__ = [
     "ComparisonReport",
     "MetricCheck",
     "capture_baseline",
+    "capture_run",
     "compare_metrics",
     "default_tolerances",
     "format_report",

@@ -182,6 +182,18 @@ def capture_baseline(metrics, tolerance=DEFAULT_TOLERANCE, captured_at=None,
     return doc
 
 
+def capture_run(metrics, captured_at=None, notes=None,
+                tolerance=DEFAULT_TOLERANCE):
+    """Freeze one benchmark run with the repository's default directions
+    and bands — the one capture path behind both ``repro bench`` and
+    ``benchmarks/baseline.py capture``, so neither can forget which
+    metrics are better when higher."""
+    return capture_baseline(metrics, tolerance=tolerance,
+                            captured_at=captured_at, notes=notes,
+                            directions=default_directions(metrics),
+                            tolerances=default_tolerances(metrics))
+
+
 def write_baseline(doc, path):
     """Write a baseline document as stable, diffable JSON."""
     with open(path, "w") as fh:

@@ -294,10 +294,8 @@ def _cmd_bench(args):
     import tempfile
 
     from repro.bench.baseline import (
-        capture_baseline,
+        capture_run,
         compare_metrics,
-        default_directions,
-        default_tolerances,
         format_report,
         headline_metrics,
         load_baseline,
@@ -364,21 +362,17 @@ def _cmd_bench(args):
             args.out or os.path.join(args.out_dir, f"BENCH_{today}.json")
         )
         write_baseline(
-            capture_baseline(metrics, captured_at=today,
-                             notes="captured by `repro bench`",
-                             directions=default_directions(metrics),
-                             tolerances=default_tolerances(metrics)),
+            capture_run(metrics, captured_at=today,
+                        notes="captured by `repro bench`"),
             trajectory,
         )
         print(f"# wrote {len(metrics)} metrics to {trajectory}",
               file=sys.stderr)
         if args.update_baseline:
             write_baseline(
-                capture_baseline(metrics, captured_at=today,
-                                 notes="refreshed by `repro bench "
-                                       "--update-baseline`",
-                                 directions=default_directions(metrics),
-                                 tolerances=default_tolerances(metrics)),
+                capture_run(metrics, captured_at=today,
+                            notes="refreshed by `repro bench "
+                                  "--update-baseline`"),
                 args.baseline,
             )
             print(f"# refreshed baseline {args.baseline}", file=sys.stderr)

@@ -14,10 +14,36 @@ the same shape over real sockets:
   :class:`~repro.live.throttle.Throttle` (the synthetic link) and then
   ``await drain()`` — real TCP backpressure, so a slow or stalled
   receiver stops the sender instead of ballooning the send buffer;
-- the receiver reports each fragment's bytes (``delivery``) and each
-  completed window's elapsed time (``throughput``) via ``__report__`` —
-  the same passive samples the sim protocol logs as a side effect of
-  traffic — which is what keeps the live viceroy's estimate honest.
+- the receiver acknowledges the bytes it holds with a one-way
+  :class:`~repro.rpc.messages.WindowAck` **receipt** (the ``delivery``
+  sample) and reports each completed window's elapsed time with an
+  awaited ``__report__`` (the ``throughput`` sample) — the same passive
+  samples the sim protocol logs as a side effect of traffic — which is
+  what keeps the live viceroy's estimate honest.
+
+One window on the wire, receiver on the left::
+
+    WindowRequest(transfer, offset)    ->
+                                       <-  Fragment(offset)
+    WindowAck(transfer, next_offset)   ->                      (no reply)
+                                       <-  Fragment ... last_in_window
+    WindowAck(transfer, next_offset)   ->                      (no reply)
+    CallRequest(__report__ throughput) ->
+                                       <-  CallResponse(level)
+
+A receipt is *cumulative*: ``next_offset`` says "I hold this transfer up
+to here".  The receiver sends one whenever it has taken every fragment
+already queued for it, so a fragment that arrives alone (a slow link) is
+receipted at once, and a backlog (a receiver slower than the link) is
+receipted in one frame — TCP's cumulative ACK; what is coalesced follows
+from the receiver's own queue, not from a setting.  The broker keeps
+``[acked, sent]`` for the one window in flight per (session, transfer)
+and absorbs ``next_offset - acked`` bytes as a delivery sample only when
+``acked < next_offset <= sent``; any other receipt cannot be matched to
+bytes it streamed and tears the session down, like a window against an
+unopened transfer.  The throughput report stays a call: it returns the
+level, and TCP ordering makes its reply the proof that every earlier
+receipt was absorbed.
 
 Fragments are *sized, not serialized*: like the sim's messages they
 carry byte counts rather than payloads, so the wire cost is a frame
@@ -31,7 +57,7 @@ import itertools
 from repro import telemetry
 from repro.broker.server import REPORT_OP
 from repro.errors import BrokerError, RpcTimeout
-from repro.rpc.messages import Fragment, WindowRequest
+from repro.rpc.messages import Fragment, WindowAck, WindowRequest
 
 #: Ordinary call that registers a blob for pulling: body
 #: ``{"name": str, "nbytes": int}`` -> ``{"transfer_id": int, "nbytes": int}``.
@@ -47,12 +73,30 @@ DEFAULT_FRAGMENT_BYTES = 8 * 1024
 FRAGMENT_TIMEOUT = 30.0
 
 
+def _all_ints(*values):
+    """Whether every wire field is a real integer (JSON also carries
+    floats, strings and nulls where the dataclass says ``int``)."""
+    return all(type(value) is int for value in values)
+
+
+class _Window:
+    """The window in flight on one (session, transfer): how far it has
+    been streamed and how far the receiver has receipted it."""
+
+    __slots__ = ("acked", "sent")
+
+    def __init__(self, offset):
+        self.acked = offset
+        self.sent = offset
+
+
 class BulkServerMixin:
     """Bulk-transfer plane for a broker: ``__open__`` plus window streaming.
 
     Mixed in ahead of :class:`~repro.broker.Broker`; the host class calls
     :meth:`_init_bulk` from ``__init__`` and provides ``self.throttle``
-    (a :class:`~repro.live.throttle.Throttle` or ``None`` for unshaped).
+    (a :class:`~repro.live.throttle.Throttle` or ``None`` for unshaped)
+    and ``_absorb_sample(session, body)`` for receipted bytes.
     """
 
     def _init_bulk(self):
@@ -60,11 +104,14 @@ class BulkServerMixin:
         self._transfer_ids = itertools.count(1)
         self._bulk_seq = itertools.count(1)
         self._stream_tasks = {}  # session -> set of streaming tasks
+        self._windows = {}  # session -> {transfer_id: _Window in flight}
         self.transfers_opened = 0
         self.windows_streamed = 0
         self.fragments_streamed = 0
         self.bulk_bytes_streamed = 0
         self.streams_aborted = 0
+        self.receipts_absorbed = 0
+        self.receipt_bytes = 0
         self.register(OPEN_OP, self._open_content)
 
     def _open_content(self, body):
@@ -83,26 +130,60 @@ class BulkServerMixin:
     # -- inbound stream frames ------------------------------------------------
 
     def _on_stream(self, session, message):
+        # A window against nothing we opened, or a receipt for bytes we
+        # did not stream, is a protocol violation, same as any other
+        # unexpected frame.
         if isinstance(message, WindowRequest):
-            if message.transfer_id not in self._contents:
-                # A window against nothing we opened is a protocol
-                # violation, same as any other unexpected frame.
-                return super()._on_stream(session, message)
-            task = asyncio.ensure_future(
-                self._stream_window(session, message))
-            tasks = self._stream_tasks.setdefault(session, set())
-            tasks.add(task)
-            task.add_done_callback(tasks.discard)
-            return
+            if self._open_window(session, message):
+                return
+        elif isinstance(message, WindowAck):
+            if self._take_receipt(session, message):
+                return
         super()._on_stream(session, message)
 
-    async def _stream_window(self, session, request):
-        """Send one window of fragments, throttle-paced and drain-gated."""
-        _, total = self._contents[request.transfer_id]
+    def _open_window(self, session, request):
+        transfer_id = request.transfer_id
+        if session.name is None or transfer_id not in self._contents \
+                or not _all_ints(transfer_id, request.offset,
+                                 request.window_bytes, request.fragment_bytes):
+            return False
+        _, total = self._contents[transfer_id]
         # An offset at (or past) the end is a legitimate race, not a
         # violation: the reply is one empty terminal fragment.
         offset = min(max(0, request.offset), total)
         end = min(total, offset + max(0, request.window_bytes))
+        # One window in flight per (session, transfer): this one replaces
+        # whatever was there, and a train still streaming for the old one
+        # (a fetch retried after a timeout) stops at its next fragment.
+        window = _Window(offset)
+        self._windows.setdefault(session, {})[transfer_id] = window
+        task = asyncio.ensure_future(
+            self._stream_window(session, request, window, end, total))
+        tasks = self._stream_tasks.setdefault(session, set())
+        tasks.add(task)
+        task.add_done_callback(tasks.discard)
+        return True
+
+    def _take_receipt(self, session, receipt):
+        """Absorb the bytes a cumulative receipt newly covers as one
+        delivery sample; False if it matches nothing we streamed."""
+        transfer_id, upto = receipt.transfer_id, receipt.next_offset
+        if not _all_ints(transfer_id, upto):
+            return False
+        windows = self._windows.get(session)
+        window = windows.get(transfer_id) if windows else None
+        if window is None or not window.acked < upto <= window.sent:
+            return False
+        nbytes = upto - window.acked
+        window.acked = upto
+        self.receipts_absorbed += 1
+        self.receipt_bytes += nbytes
+        self._absorb_sample(session, {"kind": "delivery", "nbytes": nbytes})
+        return True
+
+    async def _stream_window(self, session, request, window, end, total):
+        """Send one window of fragments, throttle-paced and drain-gated."""
+        offset = window.sent
         fragment_bytes = max(1, request.fragment_bytes)
         rec = telemetry.RECORDER
         try:
@@ -114,12 +195,18 @@ class BulkServerMixin:
                     await self.throttle.acquire(size)
                 if session.closed:
                     return
+                if self._windows[session].get(
+                        request.transfer_id) is not window:
+                    self.streams_aborted += 1  # superseded by a new request
+                    return
                 session.channel.send(Fragment(
                     connection_id="broker", seq=next(self._bulk_seq),
                     transfer_id=request.transfer_id, offset=offset,
                     nbytes=size, last_in_window=last_in_window,
                     last_in_transfer=last_in_transfer,
                 ))
+                # Receiptable from the moment it is on the socket.
+                window.sent = offset + size
                 # The backpressure point: a receiver that stops reading
                 # parks the stream here until its socket drains.
                 await session.channel.drain()
@@ -142,6 +229,7 @@ class BulkServerMixin:
     # -- teardown -------------------------------------------------------------
 
     def _abort_session_transfers(self, session):
+        self._windows.pop(session, None)
         for task in self._stream_tasks.pop(session, ()):
             task.cancel()
 
@@ -160,6 +248,8 @@ class BulkServerMixin:
             "fragments_streamed": self.fragments_streamed,
             "bytes_streamed": self.bulk_bytes_streamed,
             "streams_aborted": self.streams_aborted,
+            "receipts_absorbed": self.receipts_absorbed,
+            "receipt_bytes": self.receipt_bytes,
         }
 
 
@@ -167,13 +257,16 @@ class TransferResult:
     """What one :meth:`BulkReceiver.fetch` observed."""
 
     __slots__ = ("transfer_id", "nbytes", "windows", "fragments",
-                 "seconds", "levels")
+                 "fragments_stale", "seconds", "levels")
 
     def __init__(self, transfer_id):
         self.transfer_id = transfer_id
         self.nbytes = 0
         self.windows = 0
         self.fragments = 0
+        #: Fragments dropped for not continuing the window in flight (the
+        #: tail of a train an earlier, abandoned fetch asked for).
+        self.fragments_stale = 0
         self.seconds = 0.0
         #: Availability estimate returned after each window's throughput
         #: report (None entries predate the first sample).
@@ -229,9 +322,10 @@ class BulkReceiver:
                     report=True, timeout=FRAGMENT_TIMEOUT):
         """Pull ``nbytes`` of an opened transfer, window by window.
 
-        With ``report=True`` (the default) every fragment's arrival and
-        every window's elapsed time go back as ``__report__`` estimation
-        samples — the passive feed the live viceroy shares out.
+        With ``report=True`` (the default) the bytes held go back as
+        one-way cumulative receipts and every window's elapsed time as a
+        ``__report__`` estimation sample — the passive feed the live
+        viceroy shares out; ``report=False`` sends no samples at all.
         """
         if transfer_id in self._queues:
             raise BrokerError(f"transfer {transfer_id} already being fetched")
@@ -239,39 +333,56 @@ class BulkReceiver:
         self._queues[transfer_id] = queue
         result = TransferResult(transfer_id)
         clock = self.client.clock
+        send = self.client.channel.send
+        name = self.client.name
         started = clock.now()
         try:
             offset = 0
             done = False
             while not done and offset < nbytes:
                 window_started = clock.now()
-                window_got = 0
-                self.client.channel.send(WindowRequest(
-                    connection_id=self.client.name, seq=next(self._seq),
+                send(WindowRequest(
+                    connection_id=name, seq=next(self._seq),
                     transfer_id=transfer_id, offset=offset,
                     window_bytes=min(window_bytes, nbytes - offset),
                     fragment_bytes=fragment_bytes, reply_port="",
                 ))
-                while True:
-                    try:
-                        fragment = await asyncio.wait_for(
-                            queue.get(), timeout)
-                    except asyncio.TimeoutError:
-                        raise RpcTimeout(
-                            f"{self.client.name}: no fragment for transfer "
-                            f"{transfer_id} within {timeout} s"
-                        ) from None
-                    window_got += fragment.nbytes
-                    result.fragments += 1
-                    if report and fragment.nbytes > 0:
-                        await self.client.call(REPORT_OP, {
-                            "kind": "delivery", "nbytes": fragment.nbytes,
-                        })
-                    if fragment.last_in_transfer:
-                        done = True
-                    if fragment.last_in_window:
-                        break
-                offset += window_got
+                held = receipted = offset
+                closed = False
+                while not closed:
+                    if queue.empty():
+                        try:
+                            fragment = await asyncio.wait_for(
+                                queue.get(), timeout)
+                        except asyncio.TimeoutError:
+                            raise RpcTimeout(
+                                f"{name}: no fragment for transfer "
+                                f"{transfer_id} within {timeout} s"
+                            ) from None
+                    else:
+                        fragment = queue.get_nowait()
+                    if fragment.offset == held:
+                        held += fragment.nbytes
+                        result.fragments += 1
+                        if fragment.last_in_transfer:
+                            done = True
+                        closed = fragment.last_in_window
+                    else:
+                        result.fragments_stale += 1
+                        rec = telemetry.RECORDER
+                        if rec.enabled:
+                            rec.count("live.fragments_stale", client=name)
+                    # Receipt what is held once nothing more is waiting:
+                    # a lone fragment at once, a backlog in one frame.
+                    if report and held > receipted and (
+                            closed or queue.empty()):
+                        send(WindowAck(
+                            connection_id=name, seq=next(self._seq),
+                            transfer_id=transfer_id, next_offset=held,
+                        ))
+                        receipted = held
+                window_got = held - offset
+                offset = held
                 result.nbytes += window_got
                 result.windows += 1
                 elapsed = clock.now() - window_started

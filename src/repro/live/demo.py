@@ -191,13 +191,16 @@ def format_live_report(report):
             f"{w['bytes_fetched'] / 1024:>7.1f} {w['stalls']:>6} "
             f"{w['failures']:>4}")
     broker = report.broker
+    bulk = broker.get("bulk", {})
     lines.append("")
     lines.append(
         f"  broker: {broker.get('calls_served', 0)} calls, "
         f"{broker.get('upcalls_sent', 0)} upcalls sent / "
         f"{broker.get('upcalls_acked', 0)} acked, "
-        f"bulk {broker.get('bulk', {}).get('bytes_streamed', 0) / 1024:.0f} kB "
-        f"in {broker.get('bulk', {}).get('fragments_streamed', 0)} fragments")
+        f"bulk {bulk.get('bytes_streamed', 0) / 1024:.0f} kB "
+        f"in {bulk.get('fragments_streamed', 0)} fragments, "
+        f"{bulk.get('receipt_bytes', 0) / 1024:.0f} kB receipted "
+        f"in {bulk.get('receipts_absorbed', 0)} receipts")
     estimation = broker.get("estimation", {})
     total = estimation.get("total")
     if total:

@@ -16,7 +16,8 @@ Two pieces:
   serves the viceroy RPC surface over TCP.  ``__report__`` grows
   estimation kinds (``round_trip`` / ``delivery`` / ``throughput``
   samples, exactly the entries the sim RPC protocol appends as a side
-  effect of traffic); ``__request__`` windows on the ``bandwidth``
+  effect of traffic), and the bulk plane's one-way delivery receipts
+  feed the same path; ``__request__`` windows on the ``bandwidth``
   resource are checked against the *owning client's* estimated
   availability instead of a globally reported level; violations ride the
   broker's existing one-shot ``__upcall__`` push.  Plain ``level``
@@ -170,10 +171,11 @@ class LiveBroker(BulkServerMixin, Broker):
     namespaces, relays, heartbeat reaping, socket-death teardown — is
     inherited untouched.  This subclass adds:
 
-    - a :class:`LiveViceroy` fed by ``__report__`` estimation samples;
+    - a :class:`LiveViceroy` fed by ``__report__`` estimation samples
+      and bulk delivery receipts;
     - ``bandwidth`` windows checked per owning client against estimated
       availability (registration-time rejection carries the available
-      level, and every estimation report rechecks all bandwidth windows);
+      level, and every estimation sample rechecks all bandwidth windows);
     - the bulk-transfer plane (``__open__`` plus ``WindowRequest`` →
       ``Fragment`` streaming with ``drain`` backpressure, shaped by a
       :class:`~repro.live.throttle.Throttle`).
@@ -242,15 +244,21 @@ class LiveBroker(BulkServerMixin, Broker):
             # A plain level report: the base broker's global semantics
             # (the loadtest and `repro connect` keep working unchanged).
             return super()._report(session, request)
+        level, upcalls = self._absorb_sample(session, body)
+        self._respond(session, request,
+                      body={"resource": BANDWIDTH_RESOURCE, "level": level,
+                            "upcalls": upcalls})
+
+    def _absorb_sample(self, session, body):
+        """Fold one estimation sample — a ``__report__`` body or the bytes
+        of a bulk receipt — and recheck every bandwidth window against
+        it; returns ``(level, upcalls pushed)``."""
         level = self.viceroy.absorb(session.name, body)
         rec = telemetry.RECORDER
         if rec.enabled:
             rec.count("live.reports", kind=body.get("kind"),
                       client=session.name)
-        upcalls = self._recheck_bandwidth()
-        self._respond(session, request,
-                      body={"resource": BANDWIDTH_RESOURCE, "level": level,
-                            "upcalls": upcalls})
+        return level, self._recheck_bandwidth()
 
     def _recheck_bandwidth(self):
         """Re-check every bandwidth window against its owner's availability.

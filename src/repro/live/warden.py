@@ -16,7 +16,7 @@ contract on a real socket:
   immediately, the re-registration RPC waits for the next chunk boundary
   (the fleet client's anti-storm discipline);
 - **data plane** — paced chunk fetches through
-  :class:`~repro.live.bulk.BulkReceiver`, whose per-fragment and
+  :class:`~repro.live.bulk.BulkReceiver`, whose delivery receipts and
   per-window ``__report__`` samples are what feed the broker's estimate;
 - **disconnected handoff** — an
   :class:`~repro.connectivity.AsyncHeartbeatProber` keeps probe evidence

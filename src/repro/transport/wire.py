@@ -55,6 +55,8 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 FRAME_HEADER_BYTES = 12
 
 _HEADER = struct.Struct(">2sBBLL")
+#: Header bytes 2..8 (version, kind, length): the part the CRC covers.
+_HEADER_TAIL = struct.Struct(">BBL")
 
 #: Kind code <-> message class, in wire-format order.  Codes are part of
 #: the format: never renumber, only append.
@@ -187,35 +189,32 @@ def decode_message(kind, payload):
                   for name, value in zip(names, values)})
 
 
-def _checksum(header_tail, payload):
-    return binascii.crc32(payload, binascii.crc32(header_tail)) & 0xFFFFFFFF
-
-
 def encode_frame(message):
     """One complete frame (header + payload) for ``message``."""
     kind, payload = encode_message(message)
     if len(payload) > MAX_FRAME_BYTES:
         raise FrameError(f"payload of {len(payload)} bytes exceeds the "
                          f"{MAX_FRAME_BYTES}-byte frame ceiling")
-    header = _HEADER.pack(MAGIC, WIRE_VERSION, kind, len(payload), 0)
-    crc = _checksum(header[2:8], payload)
-    return _HEADER.pack(MAGIC, WIRE_VERSION, kind, len(payload), crc) + payload
+    tail = _HEADER_TAIL.pack(WIRE_VERSION, kind, len(payload))
+    crc = binascii.crc32(payload, binascii.crc32(tail))
+    return b"".join((MAGIC, tail, crc.to_bytes(4, "big"), payload))
 
 
-def try_decode_frame(buffer):
-    """Decode the first frame of ``buffer`` if it is complete.
+def try_decode_frame(buffer, start=0):
+    """Decode the frame at ``buffer[start:]`` if it is complete.
 
     Returns ``(message, consumed_bytes)`` or ``None`` when more bytes are
     needed.  Raises :class:`~repro.errors.FrameError` on a frame that can
     never become valid (bad magic, wrong version, oversize length, checksum
     mismatch) — the stream is unrecoverable past that point.
     """
-    view = bytes(buffer)
-    if len(view) < FRAME_HEADER_BYTES:
-        if view and not MAGIC.startswith(view[:2]):
-            raise FrameError(f"bad frame magic {view[:2]!r}")
+    available = len(buffer) - start
+    if available < FRAME_HEADER_BYTES:
+        head = bytes(buffer[start:start + 2])
+        if head and not MAGIC.startswith(head):
+            raise FrameError(f"bad frame magic {head!r}")
         return None
-    magic, version, kind, length, crc = _HEADER.unpack_from(view)
+    magic, version, kind, length, crc = _HEADER.unpack_from(buffer, start)
     if magic != MAGIC:
         raise FrameError(f"bad frame magic {magic!r}")
     if version != WIRE_VERSION:
@@ -224,14 +223,16 @@ def try_decode_frame(buffer):
     if length > MAX_FRAME_BYTES:
         raise FrameError(f"frame length {length} exceeds the "
                          f"{MAX_FRAME_BYTES}-byte ceiling")
-    end = FRAME_HEADER_BYTES + length
-    if len(view) < end:
+    consumed = FRAME_HEADER_BYTES + length
+    if available < consumed:
         return None
-    payload = view[FRAME_HEADER_BYTES:end]
-    if _checksum(view[2:8], payload) != crc:
+    # Only this frame's payload is copied, never the rest of the buffer.
+    payload = buffer[start + FRAME_HEADER_BYTES:start + consumed]
+    if binascii.crc32(payload,
+                      binascii.crc32(buffer[start + 2:start + 8])) != crc:
         raise FrameError(f"frame checksum mismatch (kind {kind}, "
                          f"{length} bytes)")
-    return decode_message(kind, payload), end
+    return decode_message(kind, payload), consumed
 
 
 def decode_frame(data):
@@ -271,16 +272,20 @@ class FrameDecoder:
         """Absorb ``chunk``; return the list of messages it completed."""
         if self._poisoned:
             raise FrameError("decoder poisoned by an earlier corrupt frame")
-        self._buffer.extend(chunk)
+        buffer = self._buffer
+        buffer.extend(chunk)
         messages = []
-        while True:
-            try:
-                result = try_decode_frame(self._buffer)
-            except (FrameError, WireError):
-                self._poisoned = True
-                raise
-            if result is None:
-                return messages
-            message, consumed = result
-            del self._buffer[:consumed]
-            messages.append(message)
+        start = 0
+        try:
+            while True:
+                result = try_decode_frame(buffer, start)
+                if result is None:
+                    return messages
+                messages.append(result[0])
+                start += result[1]
+        except (FrameError, WireError):
+            self._poisoned = True
+            raise
+        finally:
+            # Compact once per feed, not once per frame.
+            del buffer[:start]

@@ -24,7 +24,7 @@ from repro.bench import (
     load_baseline,
     write_baseline,
 )
-from repro.bench.baseline import load_report
+from repro.bench.baseline import HIGHER_IS_BETTER_SUFFIXES, load_report
 from repro.errors import BenchmarkError
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -201,6 +201,9 @@ def test_committed_baseline_is_valid():
             assert entry["tolerance"] >= MIN_SECONDS_TOLERANCE
         else:
             assert entry["tolerance"] >= DEFAULT_TOLERANCE
+        assert entry["direction"] == (
+            "higher" if name.endswith(HIGHER_IS_BETTER_SUFFIXES)
+            else "lower"), name
 
 
 def _run_script(args, cwd):
@@ -245,6 +248,43 @@ def test_script_exit_codes_match_gate_semantics(tmp_path):
     )
     assert broken.returncode == 2
     assert "error:" in broken.stderr
+
+
+def test_script_capture_keeps_higher_is_better_directions(tmp_path):
+    """A baseline frozen by ``benchmarks/baseline.py capture`` and read
+    back gates rates and quality metrics against *drops*: the script once
+    skipped the default directions, so a 2x fleet slowdown passed."""
+    extra = {f"fleet{suffix}": 10.0 for suffix in HIGHER_IS_BETTER_SUFFIXES}
+    extra["fleet_wall_seconds"] = 2.0
+    report = run_report()
+    report["benchmarks"][0]["extra_info"] = extra
+    run_json = tmp_path / "run.json"
+    run_json.write_text(json.dumps(report))
+    baseline_json = tmp_path / "baseline.json"
+    captured = _run_script(
+        ["capture", "--json", str(run_json), "--out", str(baseline_json)],
+        cwd=tmp_path,
+    )
+    assert captured.returncode == 0, captured.stderr
+
+    doc = load_baseline(baseline_json)
+    rewritten = tmp_path / "rewritten.json"
+    write_baseline(doc, rewritten)
+    assert load_baseline(rewritten) == doc
+    higher = {name for name, entry in doc["metrics"].items()
+              if entry["direction"] == "higher"}
+    assert higher == {f"test_event_loop_throughput.fleet{suffix}"
+                      for suffix in HIGHER_IS_BETTER_SUFFIXES}
+    assert doc["metrics"]["test_event_loop_throughput.min_seconds"][
+        "tolerance"] == MIN_SECONDS_TOLERANCE
+
+    # Half the clients per second is a regression; twice is not.
+    name = "test_event_loop_throughput.fleet_clients_per_second"
+    current = {metric: entry["value"]
+               for metric, entry in doc["metrics"].items()}
+    slow = compare_metrics({**current, name: 4.0}, doc)
+    assert [c.metric for c in slow.regressions] == [name]
+    assert compare_metrics({**current, name: 25.0}, doc).ok
 
 
 def test_capture_per_metric_tolerances():

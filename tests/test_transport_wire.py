@@ -273,3 +273,28 @@ def test_header_layout_is_stable():
     assert frame[2] == WIRE_VERSION
     assert len(frame) == FRAME_HEADER_BYTES + int.from_bytes(
         frame[4:8], "big")
+
+
+def test_corrupt_frame_after_good_ones_keeps_only_the_garbage_pending():
+    """Frames completed before the corruption are consumed from the
+    buffer; what stays pending is the undecodable tail."""
+    good = encode_frame(WindowAck("c", 1, 2, 3)) * 3
+    bad = bytearray(encode_frame(WindowAck("c", 2, 2, 4)))
+    bad[-1] ^= 0x01
+    decoder = FrameDecoder()
+    with pytest.raises(FrameError):
+        decoder.feed(good + bytes(bad) + good)
+    assert decoder.pending_bytes == len(bad) + len(good)
+    with pytest.raises(FrameError):
+        decoder.feed(b"")
+
+
+def test_a_frame_decodes_in_place_at_an_offset():
+    first = encode_frame(WindowAck("c", 1, 2, 3))
+    second = encode_frame(WindowAck("c", 2, 2, 4))
+    buffer = bytearray(first + second)
+    message, consumed = try_decode_frame(buffer, len(first))
+    assert message == WindowAck("c", 2, 2, 4)
+    assert consumed == len(second)
+    assert try_decode_frame(buffer, len(buffer)) is None
+    assert buffer == first + second  # nothing consumed by decoding
