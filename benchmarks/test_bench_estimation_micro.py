@@ -11,12 +11,14 @@ from repro.rpc.logs import RpcLog
 from repro.sim.kernel import Simulator
 
 
-def test_share_update_throughput(benchmark):
-    """Cost of absorbing one throughput entry with eight live connections."""
+def _share_update_batch(connections, rechecked=0, **share_kwargs):
+    """A 200-step batch over ``connections`` live logs: each step is one
+    delivery plus its throughput entry, then — like the viceroy's recheck —
+    an ``availability`` query for each of ``rechecked`` connections."""
     sim = Simulator()
-    shares = ClientShares(sim)
+    shares = ClientShares(sim, **share_kwargs)
     logs = []
-    for i in range(8):
+    for i in range(connections):
         log = RpcLog(sim, f"c{i}")
         shares.register(log)
         logs.append(log)
@@ -25,6 +27,7 @@ def test_share_update_throughput(benchmark):
     sim.run(until=1.0)
     for log in logs:
         log.add_delivery(32 * 1024)
+    swept = [log.connection_id for log in logs[:rechecked]]
 
     def absorb_batch():
         for i in range(200):
@@ -33,9 +36,26 @@ def test_share_update_throughput(benchmark):
             log.add_delivery(8 * 1024)
             entry = log.add_throughput(sim.now - 0.01, 8 * 1024)
             shares.on_throughput(log, entry)
+            for connection_id in swept:
+                shares.availability(connection_id)
         return shares.total
 
-    total = benchmark(absorb_batch)
+    return absorb_batch
+
+
+def test_share_update_throughput(benchmark):
+    """Cost of absorbing one throughput entry with eight live connections."""
+    total = benchmark(_share_update_batch(8))
+    assert total and total > 0
+
+
+def test_share_update_throughput_128(benchmark):
+    """One shard of ``fleet_512``: 128 live connections on the batched
+    estimator, each entry followed by a 12-registration recheck.  The cost
+    per step must not depend on the 128 (tests/test_estimation_share.py
+    gates the query count; this gates the time, so a return of the
+    per-connection scan fails CI)."""
+    total = benchmark(_share_update_batch(128, rechecked=12, batched=True))
     assert total and total > 0
 
 

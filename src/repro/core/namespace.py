@@ -17,8 +17,7 @@ def normalize(path):
     """Canonicalize an Odyssey path (absolute, no trailing slash)."""
     if not path or not path.startswith("/"):
         raise NoSuchObject(f"Odyssey paths are absolute, got {path!r}")
-    norm = posixpath.normpath(path)
-    return norm
+    return posixpath.normpath(path)
 
 
 class Namespace:
@@ -61,16 +60,13 @@ class Namespace:
         the path.
         """
         path = normalize(path)
-        best = None
-        for prefix, warden in self._mounts.items():
-            if path == prefix or path.startswith(prefix + "/"):
-                if best is None or len(prefix) > len(best[0]):
-                    best = (prefix, warden)
-        if best is None:
-            raise NoSuchObject(f"no warden manages {path!r}")
-        prefix, warden = best
-        rest = path[len(prefix):].lstrip("/")
-        return warden, rest
+        # Walking upward, the first mounted ancestor is the longest prefix.
+        prefix = path
+        while prefix not in self._mounts:
+            if len(prefix) <= len(self.root):
+                raise NoSuchObject(f"no warden manages {path!r}")
+            prefix = prefix[:prefix.rindex("/")]
+        return self._mounts[prefix], path[len(prefix) + 1:]
 
     def readdir(self, path):
         """List names under ``path``.

@@ -29,6 +29,7 @@ from repro.estimation.bandwidth import (
     THROUGHPUT_GAIN,
 )
 from repro.estimation.ewma import EwmaFilter
+from repro.rpc.logs import DELIVERY_HISTORY_SECONDS, DeliveryIndex
 
 #: Sliding window over which "recent use" is measured, seconds.  Long
 #: enough to average over several transfer bursts of a lightly-loaded
@@ -55,10 +56,14 @@ class ClientShares:
                  batched=False):
         if not 0 < fair_fraction <= 1:
             raise ReproError(f"fair_fraction must be in (0, 1], got {fair_fraction!r}")
-        if competing_horizon <= 0:
-            raise ReproError(
-                f"competing_horizon must be positive, got {competing_horizon!r}"
-            )
+        # Beyond the retention a horizon reads history already pruned, and
+        # undercounts by however long ago each log last saw a packet.
+        for name, horizon in (("usage_horizon", usage_horizon),
+                              ("competing_horizon", competing_horizon)):
+            if not 0 < horizon <= DELIVERY_HISTORY_SECONDS:
+                raise ReproError(
+                    f"{name} must be in (0, {DELIVERY_HISTORY_SECONDS}], "
+                    f"got {horizon!r}")
         if competing_rate_floor < 0:
             raise ReproError(
                 f"competing_rate_floor must be >= 0, got {competing_rate_floor!r}"
@@ -72,16 +77,11 @@ class ClientShares:
         self.total_history = []  # (time, total estimate)
         self._logs = {}  # connection_id -> RpcLog
         self._estimators = {}  # connection_id -> ConnectionEstimator
-        #: Usage-split memo for :meth:`availability`.  Re-checking every
-        #: bandwidth registration after a throughput entry calls
-        #: ``availability`` once per registration, and each call recomputed
-        #: every connection's recent rate — O(n²) per entry at fleet scale.
-        #: The usages only change when sim time advances, a delivery lands,
-        #: or the membership changes, so the split is computed once per
-        #: such version and the values stay bit-identical.
-        self._usage_version = 0
-        self._usage_memo = None  # (now, version) -> (usages, denominator)
-        self._usage_memo_key = None
+        #: Every tracked log's deliveries, merged as traffic passes: each
+        #: capacity sample and usage split is one interval query here, not
+        #: a walk over the logs.  A membership change marks it stale.
+        self._deliveries = DeliveryIndex()
+        self._stale = False
         #: Forwarded to each ConnectionEstimator (ablation studies vary
         #: gains and the rise cap here).
         self.estimator_kwargs = estimator_kwargs or {}
@@ -107,8 +107,9 @@ class ClientShares:
             self.sim, log.connection_id, batch=self._batch,
             **self.estimator_kwargs
         )
-        log.delivery_listener = self._note_delivery
-        self._usage_version += 1
+        log.shared_deliveries = self._deliveries
+        if log.delivered_total:  # arrives with history to merge in
+            self._stale = True
 
     def unregister(self, connection_id):
         """Stop tracking a connection."""
@@ -118,14 +119,28 @@ class ClientShares:
             # (lanes are append-only) and simply never updated again.
             self._batch.flush()
         log = self._logs.pop(connection_id, None)
-        if log is not None and log.delivery_listener == self._note_delivery:
-            log.delivery_listener = None
         self._estimators.pop(connection_id, None)
-        self._usage_version += 1
+        if log is not None and log.shared_deliveries is self._deliveries:
+            log.shared_deliveries = None
+            self._stale = True
 
-    def _note_delivery(self):
-        """Hot-path delivery signal from a tracked log (invalidates memos)."""
-        self._usage_version += 1
+    def _delivered_between(self, start, end):
+        """Bytes every tracked connection received in (start, end].
+
+        A stale index is first re-merged from the tracked logs' retained
+        entries, so a departed connection's bytes never reach a query:
+        O(entries), but once per burst of membership changes (a crash drill
+        re-registers everyone in one instant).
+        """
+        if self._stale:
+            merged = self._deliveries = DeliveryIndex()
+            for at, nbytes in sorted(entry for log in self._logs.values()
+                                     for entry in log.deliveries.live()):
+                merged.add(at, nbytes)
+            for log in self._logs.values():
+                log.shared_deliveries = merged
+            self._stale = False
+        return self._deliveries.between(start, end)
 
     @property
     def connection_count(self):
@@ -175,17 +190,15 @@ class ClientShares:
         """
         estimator = self._estimators[log.connection_id]
         estimator.on_throughput(log, entry)  # keep the per-connection view fresh
-        aggregate = 0
-        competing = False
-        for other in self._logs.values():
-            aggregate += other.bytes_delivered_between(entry.started, entry.at)
-            # One competing peer settles the boolean; skipping further rate
-            # queries cannot change it (any-of is order-independent).
-            if (not competing and other is not log
-                    and other.recent_rate(self.competing_horizon)
-                    > self.competing_rate_floor):
-                competing = True
-        aggregate = max(aggregate, entry.nbytes)
+        aggregate = max(self._delivered_between(entry.started, entry.at), entry.nbytes)
+        # No peer exceeds the floor unless all peers together do, so an idle
+        # fleet settles on the sums alone and a busy one at its first busy peer.
+        now = self.sim.now
+        since = now - self.competing_horizon
+        peers = self._delivered_between(since, now) - log.bytes_delivered_between(since, now)
+        competing = peers / self.competing_horizon > self.competing_rate_floor and any(
+            other is not log and other.recent_rate(self.competing_horizon)
+            > self.competing_rate_floor for other in self._logs.values())
         aggregate_raw = aggregate / max(entry.seconds, MIN_EFFECTIVE_SECONDS)
         if competing:
             # Another connection has been moving real traffic: concurrent
@@ -206,19 +219,6 @@ class ClientShares:
         """Smoothed total client bandwidth (bytes/s), or None before data."""
         return self.total_filter.value
 
-    def usage(self, connection_id):
-        """Recent consumption rate of one connection (bytes/s)."""
-        return self._logs[connection_id].recent_rate(self.usage_horizon)
-
-    def _usage_split(self):
-        """``(usages, denominator)``, memoized per (sim time, log version)."""
-        key = (self.sim.now, self._usage_version)
-        if key != self._usage_memo_key:
-            usages = {cid: self.usage(cid) for cid in self._logs}
-            self._usage_memo = (usages, sum(usages.values()))
-            self._usage_memo_key = key
-        return self._usage_memo
-
     def availability(self, connection_id):
         """Bandwidth likely available to ``connection_id`` (bytes/s).
 
@@ -234,11 +234,16 @@ class ClientShares:
             return None
         n = len(self._logs)
         fair = self.fair_fraction * total / n
-        usages, denominator = self._usage_split()
-        if denominator <= 0:
+        # Recent use as a byte ratio over the usage horizon: the rates'
+        # common 1/horizon cancels, leaving two index queries.
+        now = self.sim.now
+        start = now - self.usage_horizon
+        everyone = self._delivered_between(start, now)
+        if everyone <= 0:
             weight = 1.0 / n
         else:
-            weight = usages[connection_id] / denominator
+            weight = self._logs[connection_id].bytes_delivered_between(
+                start, now) / everyone
         competed = (1.0 - self.fair_fraction) * total * weight
         return fair + competed
 

@@ -12,13 +12,14 @@ these to compute aggregate link throughput across all connections during any
 interval — the mechanism behind "the viceroy collects information from all
 logs to estimate the total bandwidth available to the client".
 
-Deliveries are kept in time order (simulation time never goes backwards),
-so interval queries bisect into a prefix-sum index instead of scanning the
-whole retained window; with thousands of fleet connections each throughput
-observation triggers one such query per peer log, which made the linear
-scan the dominant cost of estimation at scale.
+Deliveries arrive in time order, so an interval query bisects into a
+prefix-sum :class:`DeliveryIndex`.  Each log owns one; the share estimator
+owns a second that every tracked log also appends to, so the aggregate is
+kept as traffic passes (one per macroflow, as in the Congestion Manager,
+PAPERS.md cs/0104012) and an observation costs the same at any fleet size.
 """
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -59,6 +60,52 @@ class ThroughputEntry:
         return self.nbytes / self.seconds if self.seconds > 0 else 0.0
 
 
+class DeliveryIndex:
+    """Time-sorted prefix sums of byte arrivals, pruned to the retention.
+
+    ``times`` and ``cums`` are parallel typed arrays (unboxed: a fleet holds
+    hundreds); ``cums`` is the running total *including pruned entries*, so
+    an interval sum is one subtraction at two bisected positions.  ``head``
+    marks the first live entry; the dead prefix is removed in chunks
+    (amortized O(1)) except its last entry, which — like the zero sentinel
+    before any pruning — keeps ``cums[lo - 1]`` valid without a guard.
+    """
+
+    __slots__ = ("times", "cums", "head")
+
+    def __init__(self):
+        self.times = array("d", (float("-inf"),))
+        self.cums = array("q", (0,))
+        self.head = 1
+
+    def add(self, now, nbytes):
+        """Record ``nbytes`` arriving at ``now`` (not before the last add)."""
+        times = self.times
+        times.append(now)
+        self.cums.append(self.cums[-1] + nbytes)
+        horizon = now - DELIVERY_HISTORY_SECONDS
+        head = self.head
+        while times[head] < horizon:  # stops at the entry just appended
+            head += 1
+        if head > 4096 and head * 2 > len(times):
+            del times[:head - 1]
+            del self.cums[:head - 1]
+            head = 1
+        self.head = head
+
+    def between(self, start, end):
+        """Bytes that arrived in the half-open interval (start, end]."""
+        lo = bisect_right(self.times, start, self.head)
+        hi = bisect_right(self.times, end, lo)
+        return self.cums[hi - 1] - self.cums[lo - 1]
+
+    def live(self):
+        """``(time, nbytes)`` of every retained entry, oldest first."""
+        cums = self.cums
+        for i in range(self.head, len(cums)):
+            yield self.times[i], cums[i] - cums[i - 1]
+
+
 class RpcLog:
     """The observation log of one RPC endpoint (connection)."""
 
@@ -70,27 +117,12 @@ class RpcLog:
         self.connection_id = connection_id
         self.round_trips = []
         self.throughputs = []
-        #: Delivery index: parallel, time-sorted lists.  ``_delivery_cums``
-        #: holds the running byte total *including pruned entries*, so an
-        #: interval sum is one subtraction of two bisected positions.
-        #: ``_delivery_head`` marks the first live (un-pruned) index; the
-        #: dead prefix is physically removed only in chunks, keeping
-        #: pruning amortized O(1) like the old deque's ``popleft``.
-        self._delivery_times = []
-        self._delivery_cums = []
-        self._delivery_head = 0
-        #: Running total as of the last *physically removed* entry, so a
-        #: query bisecting to index 0 subtracts the pruned prefix.
-        self._delivery_cum_base = 0
-        self._delivered_total = 0
+        self.deliveries = DeliveryIndex()
         self._observers = []
-        #: Single hot-path callback invoked (with no arguments) after every
-        #: delivery.  The observer protocol above deliberately excludes
-        #: deliveries — they are far too frequent for a fan-out list — but
-        #: the centralized share estimator needs a change signal to keep
-        #: its usage memo exact.  One attribute check per delivery, the
-        #: same discipline as the telemetry recorder's ``enabled`` gate.
-        self.delivery_listener = None
+        #: The tracking share estimator's all-connections index, or None.
+        #: Deliveries are too frequent for the observer fan-out above, so
+        #: the aggregate is fed by one attribute check per delivery.
+        self.shared_deliveries = None
 
     def subscribe(self, observer):
         """Register ``observer``; it must expose ``on_round_trip(log, entry)``
@@ -126,29 +158,17 @@ class RpcLog:
 
     def add_delivery(self, nbytes):
         """Record ``nbytes`` of payload arriving now (fragment or response)."""
-        self._delivered_total += nbytes
-        self._delivery_times.append(self.sim.now)
-        self._delivery_cums.append(self._delivered_total)
-        horizon = self.sim.now - DELIVERY_HISTORY_SECONDS
-        times = self._delivery_times
-        head = self._delivery_head
-        while head < len(times) and times[head] < horizon:
-            head += 1
-        if head > 4096 and head * 2 > len(times):
-            self._delivery_cum_base = self._delivery_cums[head - 1]
-            del self._delivery_times[:head]
-            del self._delivery_cums[:head]
-            head = 0
-        self._delivery_head = head
-        if self.delivery_listener is not None:
-            self.delivery_listener()
+        now = self.sim.now
+        self.deliveries.add(now, nbytes)
+        if self.shared_deliveries is not None:
+            self.shared_deliveries.add(now, nbytes)
 
     # -- queries (used by estimators) ----------------------------------------
 
     @property
     def delivered_total(self):
         """Total payload bytes ever delivered on this endpoint."""
-        return self._delivered_total
+        return self.deliveries.cums[-1]
 
     def bytes_delivered_between(self, start, end):
         """Payload bytes that arrived in the half-open interval (start, end].
@@ -156,15 +176,7 @@ class RpcLog:
         Only ``DELIVERY_HISTORY_SECONDS`` of history is retained; asking
         about older intervals undercounts, which estimators tolerate.
         """
-        times = self._delivery_times
-        head = self._delivery_head
-        lo = bisect_right(times, start, head)
-        hi = bisect_right(times, end, head)
-        if hi <= lo:
-            return 0
-        cums = self._delivery_cums
-        base = cums[lo - 1] if lo > 0 else self._delivery_cum_base
-        return cums[hi - 1] - base
+        return self.deliveries.between(start, end)
 
     def recent_rate(self, horizon):
         """Mean delivery rate over the last ``horizon`` seconds (bytes/s)."""
@@ -175,11 +187,8 @@ class RpcLog:
 
     def last_activity(self):
         """Time of the most recent entry of any kind, or None."""
-        times = []
-        if self.round_trips:
-            times.append(self.round_trips[-1].at)
-        if self.throughputs:
-            times.append(self.throughputs[-1].at)
-        if len(self._delivery_times) > self._delivery_head:
-            times.append(self._delivery_times[-1])
-        return max(times) if times else None
+        times = [entries[-1].at
+                 for entries in (self.round_trips, self.throughputs) if entries]
+        if len(self.deliveries.times) > 1:  # beyond the sentinel
+            times.append(self.deliveries.times[-1])
+        return max(times, default=None)

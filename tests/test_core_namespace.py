@@ -50,6 +50,51 @@ def test_prefix_match_respects_component_boundaries():
         ns.resolve("/odyssey/webby/object")
 
 
+def test_nested_mounts_resolve_to_the_deepest():
+    ns = Namespace()
+    a, ab = FakeWarden("a"), FakeWarden("ab")
+    ns.mount("/odyssey/a", a)
+    ns.mount("/odyssey/a/b", ab)
+    assert ns.resolve("/odyssey/a") == (a, "")
+    assert ns.resolve("/odyssey/a/c/d") == (a, "c/d")
+    assert ns.resolve("/odyssey/a/b") == (ab, "")
+    assert ns.resolve("/odyssey/a/b/c/d") == (ab, "c/d")
+    assert ns.resolve("/odyssey/a/bb/c") == (a, "bb/c")
+
+
+def test_mount_at_the_root_catches_what_no_deeper_mount_claims():
+    ns = Namespace()
+    root, video = FakeWarden("root"), FakeWarden("video")
+    ns.mount("/odyssey", root)
+    ns.mount("/odyssey/video", video)
+    assert ns.resolve("/odyssey") == (root, "")
+    assert ns.resolve("/odyssey/other/x") == (root, "other/x")
+    assert ns.resolve("/odyssey/video/x") == (video, "x")
+    for outside in ("/odysseys/x", "/etc/passwd", "/"):
+        with pytest.raises(NoSuchObject):
+            ns.resolve(outside)
+
+
+def test_sibling_whose_name_is_a_string_prefix_of_another():
+    ns = Namespace()
+    vid, video = FakeWarden("vid"), FakeWarden("video")
+    ns.mount("/odyssey/vid", vid)
+    ns.mount("/odyssey/video", video)
+    assert ns.resolve("/odyssey/vid/clip") == (vid, "clip")
+    assert ns.resolve("/odyssey/video/clip") == (video, "clip")
+    assert ns.resolve("/odyssey/video") == (video, "")
+    with pytest.raises(NoSuchObject):
+        ns.resolve("/odyssey/vide/clip")
+
+
+def test_resolve_normalizes_before_matching():
+    ns = Namespace()
+    a = FakeWarden("a")
+    ns.mount("/odyssey/a", a)
+    assert ns.resolve("/odyssey/a/x/../y/") == (a, "y")
+    assert ns.resolve("/odyssey//a///z") == (a, "z")
+
+
 def test_mount_outside_root_rejected():
     ns = Namespace()
     with pytest.raises(OdysseyError):
