@@ -62,7 +62,7 @@ _DIRECTIONS = ("lower", "higher")
 #: real regression (a fidelity or fairness drop).
 HIGHER_IS_BETTER_SUFFIXES = (
     "_speedup",
-    "_clients_per_second",
+    "_per_second",
     "_mean_fidelity",
     "_fairness",
     "_fidelity_floor",

@@ -21,7 +21,7 @@ import itertools
 from repro import telemetry
 from repro.connectivity import ConnectivityTracker
 from repro.errors import RemoteCallError, RpcTimeout, TransportError
-from repro.rpc.clock import MonotonicClock, RetrySchedule
+from repro.rpc.clock import MonotonicClock, RetrySchedule, wait_with_deadline
 from repro.rpc.connection import PING_OP, RetryPolicy
 from repro.rpc.messages import CallRequest, CallResponse
 from repro.transport.tcp import connect_tcp
@@ -136,7 +136,7 @@ class BrokerClient:
             body=body, body_bytes=body_bytes, reply_port="",
         ))
         try:
-            response = await asyncio.wait_for(future, timeout)
+            response = await wait_with_deadline(future, timeout)
         except asyncio.TimeoutError:
             self._pending.pop(seq, None)
             self.timeouts += 1

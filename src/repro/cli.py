@@ -264,6 +264,7 @@ def _cmd_cache(args):
 BENCH_DEFAULT_PATHS = (
     os.path.join(_REPO_ROOT, "benchmarks", "test_bench_kernel.py"),
     os.path.join(_REPO_ROOT, "benchmarks", "test_bench_estimation_micro.py"),
+    os.path.join(_REPO_ROOT, "benchmarks", "test_bench_transport_micro.py"),
     os.path.join(_REPO_ROOT, "benchmarks", "test_bench_suite.py"),
     os.path.join(_REPO_ROOT, "benchmarks", "test_bench_fleet.py"),
     os.path.join(_REPO_ROOT, "benchmarks", "test_bench_chaos.py"),

@@ -60,7 +60,10 @@ class ConnectionEstimator:
         self.aggregate_own_log = aggregate_own_log
         self.rtt_filter = EwmaFilter(rtt_gain, rise_cap=rtt_rise_cap)
         self._history = []  # (time, bandwidth estimate)
-        self._rtt_window = deque()  # (time, raw sample)
+        # (time, raw sample), samples increasing from head to tail: an
+        # entry that a later one undercuts can never again be the minimum
+        # and is dropped on arrival, so the head *is* the minimum.
+        self._rtt_window = deque()
         # ``batch`` (a repro.estimation.batch.BatchedEstimator sharing this
         # estimator's throughput gain) moves the Eq. 1 throughput filter
         # into a vectorized lane: updates are deferred and folded across
@@ -91,7 +94,7 @@ class ConnectionEstimator:
         """
         if not self._rtt_window:
             return self.round_trip
-        return min(sample for _, sample in self._rtt_window)
+        return self._rtt_window[0][1]
 
     @property
     def bandwidth(self):
@@ -113,10 +116,13 @@ class ConnectionEstimator:
         """Absorb a round-trip log entry."""
         capped_before = self.rtt_filter.capped_rises
         self.rtt_filter.update(entry.seconds)
-        self._rtt_window.append((self.sim.now, entry.seconds))
+        window = self._rtt_window
+        while window and window[-1][1] >= entry.seconds:
+            window.pop()
+        window.append((self.sim.now, entry.seconds))
         horizon = self.sim.now - BASE_RTT_HORIZON
-        while self._rtt_window and self._rtt_window[0][0] < horizon:
-            self._rtt_window.popleft()
+        while window[0][0] < horizon:
+            window.popleft()
         rec = telemetry.RECORDER
         if rec.enabled:
             rec.count("estimation.rtt_updates", connection=self.connection_id)

@@ -32,11 +32,14 @@ One window on the wire, receiver on the left::
                                        <-  CallResponse(level)
 
 A receipt is *cumulative*: ``next_offset`` says "I hold this transfer up
-to here".  The receiver sends one whenever it has taken every fragment
-already queued for it, so a fragment that arrives alone (a slow link) is
-receipted at once, and a backlog (a receiver slower than the link) is
-receipted in one frame — TCP's cumulative ACK; what is coalesced follows
-from the receiver's own queue, not from a setting.  The broker keeps
+to here".  The receiver sends one when the window closes and, before
+that, whenever no further fragment has joined what it holds for
+:data:`RECEIPT_HOLD` — so on a slow link every fragment is receipted on
+its own, a millisecond after it arrived, and a train at loopback speed is
+receipted in one frame: TCP's cumulative, delayed ACK.  (How promptly
+the receiver sees a fragment depends on the event loop; how many samples
+a megabyte yields must not, so the pause that ends a train is stated in
+seconds rather than left to queue timing.)  The broker keeps
 ``[acked, sent]`` for the one window in flight per (session, transfer)
 and absorbs ``next_offset - acked`` bytes as a delivery sample only when
 ``acked < next_offset <= sent``; any other receipt cannot be matched to
@@ -53,10 +56,12 @@ measurements care about when bytes arrive, not what they spell.)
 
 import asyncio
 import itertools
+from collections import deque
 
 from repro import telemetry
 from repro.broker.server import REPORT_OP
 from repro.errors import BrokerError, RpcTimeout
+from repro.rpc.clock import wait_with_deadline
 from repro.rpc.messages import Fragment, WindowAck, WindowRequest
 
 #: Ordinary call that registers a blob for pulling: body
@@ -71,6 +76,14 @@ DEFAULT_FRAGMENT_BYTES = 8 * 1024
 #: Receiver-side patience for the next fragment, seconds.  Spans a
 #: blackout phase of the demo throttle with room to spare.
 FRAGMENT_TIMEOUT = 30.0
+
+#: How long a mid-window receipt waits for the next fragment to join it,
+#: seconds.  Fragments closer together than this are one train, receipted
+#: in one frame when it pauses or the window closes; further apart, each
+#: is receipted on its own, this long after it arrived.  TCP's delayed
+#: ACK, much tighter: a receipt is an estimator sample, and the link
+#: speeds the estimator has to follow space fragments milliseconds apart.
+RECEIPT_HOLD = 0.001
 
 
 def _all_ints(*values):
@@ -288,6 +301,32 @@ class TransferResult:
                 f"rate={self.rate:.0f}B/s>")
 
 
+class _Inbox:
+    """The fragments that arrived for one fetch, and the future it parks
+    on while there are none.  The fetch is the only taker, so waiting is
+    one future under the deadline every call uses."""
+
+    __slots__ = ("fragments", "_arrival")
+
+    def __init__(self):
+        self.fragments = deque()
+        self._arrival = None
+
+    def put_nowait(self, fragment):
+        self.fragments.append(fragment)
+        if self._arrival is not None and not self._arrival.done():
+            self._arrival.set_result(None)
+
+    async def wait(self, seconds):
+        """Return once a fragment is held; :class:`asyncio.TimeoutError`
+        after ``seconds`` without one."""
+        self._arrival = asyncio.get_running_loop().create_future()
+        try:
+            await wait_with_deadline(self._arrival, seconds)
+        finally:
+            self._arrival = None
+
+
 class BulkReceiver:
     """Receiver-driven pulls over one :class:`~repro.broker.BrokerClient`.
 
@@ -298,7 +337,7 @@ class BulkReceiver:
 
     def __init__(self, client):
         self.client = client
-        self._queues = {}  # transfer_id -> asyncio.Queue of Fragment
+        self._queues = {}  # transfer_id -> _Inbox of the fetch in progress
         self._seq = itertools.count(1)
         client.on_stream(self._on_frame)
 
@@ -329,12 +368,17 @@ class BulkReceiver:
         """
         if transfer_id in self._queues:
             raise BrokerError(f"transfer {transfer_id} already being fetched")
-        queue = asyncio.Queue()
-        self._queues[transfer_id] = queue
+        inbox = self._queues[transfer_id] = _Inbox()
+        fragments = inbox.fragments
         result = TransferResult(transfer_id)
         clock = self.client.clock
         send = self.client.channel.send
         name = self.client.name
+
+        def receipt(upto):
+            send(WindowAck(connection_id=name, seq=next(self._seq),
+                           transfer_id=transfer_id, next_offset=upto))
+
         started = clock.now()
         try:
             offset = 0
@@ -350,17 +394,21 @@ class BulkReceiver:
                 held = receipted = offset
                 closed = False
                 while not closed:
-                    if queue.empty():
+                    if not fragments:
+                        unreceipted = report and held > receipted
                         try:
-                            fragment = await asyncio.wait_for(
-                                queue.get(), timeout)
+                            await inbox.wait(RECEIPT_HOLD if unreceipted
+                                             else timeout)
                         except asyncio.TimeoutError:
-                            raise RpcTimeout(
-                                f"{name}: no fragment for transfer "
-                                f"{transfer_id} within {timeout} s"
-                            ) from None
-                    else:
-                        fragment = queue.get_nowait()
+                            if not unreceipted:
+                                raise RpcTimeout(
+                                    f"{name}: no fragment for transfer "
+                                    f"{transfer_id} within {timeout} s"
+                                ) from None
+                            receipt(held)  # the train paused
+                            receipted = held
+                        continue
+                    fragment = fragments.popleft()
                     if fragment.offset == held:
                         held += fragment.nbytes
                         result.fragments += 1
@@ -372,15 +420,8 @@ class BulkReceiver:
                         rec = telemetry.RECORDER
                         if rec.enabled:
                             rec.count("live.fragments_stale", client=name)
-                    # Receipt what is held once nothing more is waiting:
-                    # a lone fragment at once, a backlog in one frame.
-                    if report and held > receipted and (
-                            closed or queue.empty()):
-                        send(WindowAck(
-                            connection_id=name, seq=next(self._seq),
-                            transfer_id=transfer_id, next_offset=held,
-                        ))
-                        receipted = held
+                if report and held > receipted:
+                    receipt(held)
                 window_got = held - offset
                 offset = held
                 result.nbytes += window_got

@@ -9,7 +9,8 @@ over wall-clock time, so the arithmetic now goes through a clock object:
 - :class:`SimClock` — ``now`` is ``sim.now``; ``sleep`` returns a
   simulation timeout event to ``yield`` (generator processes);
 - :class:`MonotonicClock` — ``now`` is :func:`time.monotonic`; ``sleep``
-  returns an :func:`asyncio.sleep` coroutine to ``await``.
+  returns an :func:`asyncio.sleep` coroutine to ``await``;
+  :func:`wait_with_deadline` is its per-call timeout.
 
 :class:`RetrySchedule` is the shared driver state: one per operation,
 computing attempt timeouts and deadline checks identically on both clocks.
@@ -48,6 +49,28 @@ class MonotonicClock:
     def sleep(self, seconds):
         """A coroutine: ``await clock.sleep(delay)``."""
         return asyncio.sleep(seconds)
+
+
+def _expire(future):
+    if not future.done():
+        future.set_exception(asyncio.TimeoutError())
+
+
+async def wait_with_deadline(future, seconds):
+    """Await ``future``, giving up after ``seconds``: its result, or
+    :class:`asyncio.TimeoutError` raised through the future itself.
+
+    The wall-clock timeout of the live stack: one ``loop.call_later``
+    handle, cancelled on completion — where ``asyncio.wait_for`` wakes
+    the caller through a second future, one loop turn later
+    (``asyncio.timeout`` is 3.11-only).  The caller must own ``future``:
+    on expiry it *is* failed, so a result arriving later finds it done.
+    """
+    handle = future.get_loop().call_later(seconds, _expire, future)
+    try:
+        return await future
+    finally:
+        handle.cancel()
 
 
 class RetrySchedule:

@@ -1,11 +1,14 @@
 """The real transport: asyncio TCP sockets speaking the wire format.
 
-One :class:`TcpChannel` per socket: sends serialize through
-:func:`~repro.transport.wire.encode_frame`; a background reader task feeds
-arriving bytes — whatever chunking the kernel delivers — through a
-:class:`~repro.transport.wire.FrameDecoder` and hands each completed
-message to ``on_message``.  A corrupt frame, EOF, or socket error closes
-the channel and fires ``on_close(exc)`` exactly once.
+A :class:`TcpChannel` *is* the asyncio protocol of its socket.  The event
+loop reads straight into the channel's one receive buffer and calls
+:meth:`~TcpChannel.buffer_updated`, which feeds the bytes — whatever
+chunking the kernel delivered — through a
+:class:`~repro.transport.wire.FrameDecoder` and hands every completed
+message to ``on_message`` before it returns: a message is handled in the
+loop turn its bytes arrive in, with no stream object, reader task or
+wake-up in between.  A corrupt frame, EOF, a socket error or a raising
+handler closes the channel and fires ``on_close(exc)`` exactly once.
 
 Unlike the simulated links, real sockets have buffers: ``send`` is
 synchronous (it enqueues into the OS buffer) and ``drain`` is the
@@ -19,34 +22,42 @@ from repro.errors import TransportError, WireError
 from repro.transport.base import Channel
 from repro.transport.wire import FrameDecoder, encode_frame
 
-#: Bytes requested per socket read.  Big enough to drain several frames per
-#: syscall under load; small enough not to stall interactive traffic.
+#: Size of a channel's receive buffer, so the most one socket read takes.
+#: Big enough to drain several frames per syscall under load; small enough
+#: not to stall interactive traffic.
 READ_CHUNK_BYTES = 64 * 1024
 
 
-class TcpChannel(Channel):
+class TcpChannel(Channel, asyncio.BufferedProtocol):
     """One live socket speaking length-prefixed wire frames.
 
-    Construct, then :meth:`open` with the message handler to start the
-    reader (``connect_tcp`` does both; server-side ``on_channel`` callbacks
-    must call :meth:`open` themselves before returning).
+    Construct, then :meth:`open` with the message handler (``connect_tcp``
+    does both; server-side ``on_channel`` callbacks must call :meth:`open`
+    themselves before returning).  ``on_connected(channel)`` runs once the
+    socket is usable — how a server announces an accepted channel.
     """
 
-    def __init__(self, reader, writer, label="tcp"):
-        self._reader = reader
-        self._writer = writer
+    def __init__(self, label="tcp", on_connected=None):
         self.label = label
+        self._on_connected = on_connected
         self.on_message = None
         self.on_close = None
-        self.peer = writer.get_extra_info("peername")
+        self.peer = None
         self.frames_sent = 0
         self.frames_received = 0
         self.bytes_sent = 0
         self.bytes_received = 0
+        #: The asyncio transport under the channel, for socket options and
+        #: buffer limits; ``None`` until the connection is made.
+        self.transport = None
+        # The loop fills this one buffer on every read; the decoder copies
+        # out what it keeps, so no read allocates.
+        self._receive_view = memoryview(bytearray(READ_CHUNK_BYTES))
+        self._decoder = FrameDecoder()
         self._closed = False
         self._close_exc = None
-        self._reader_task = None
-        self._done = asyncio.get_running_loop().create_future()
+        self._drained = None  # a future while the write buffer is full
+        self._lost = asyncio.get_running_loop().create_future()
 
     def __repr__(self):
         state = "closed" if self._closed else "open"
@@ -57,12 +68,11 @@ class TcpChannel(Channel):
         return self._closed
 
     def open(self, on_message, on_close=None):
-        """Install handlers and start the reader task.  Returns ``self``."""
-        if self._reader_task is not None:
+        """Install the handlers arrivals go to.  Returns ``self``."""
+        if self.on_message is not None:
             raise TransportError(f"{self!r} already opened")
         self.on_message = on_message
         self.on_close = on_close
-        self._reader_task = asyncio.ensure_future(self._read_loop())
         return self
 
     # -- sending ------------------------------------------------------------
@@ -78,10 +88,10 @@ class TcpChannel(Channel):
         self._check_open()
         frame = encode_frame(message)
         try:
-            self._writer.write(frame)
+            self.transport.write(frame)
         except (ConnectionError, OSError, RuntimeError) as exc:
-            # The transport died under us before the reader task noticed
-            # (e.g. a racing RST): tear down now and surface the typed error.
+            # The transport died under us before the loop told us (e.g. a
+            # racing RST): tear down now and surface the typed error.
             self._finish(exc)
             raise TransportError(
                 f"{self.label}: send on dead transport ({exc})") from exc
@@ -95,54 +105,76 @@ class TcpChannel(Channel):
     async def drain(self):
         """Backpressure point: wait for the OS send buffer to empty out.
 
-        Bulk senders sit in this call while a slow reader catches up, so
-        this is also where a peer death surfaces mid-transfer — as a typed
-        :class:`~repro.errors.TransportError`, like :meth:`send`, never as
-        the bare ``ConnectionResetError`` asyncio raises underneath.
+        Returns at once unless the transport's write buffer stands above
+        its high-water mark.  Bulk senders sit in this call while a slow
+        reader catches up, so this is also where a peer death surfaces
+        mid-transfer — as a typed :class:`~repro.errors.TransportError`,
+        like :meth:`send`.
         """
+        if self._drained is not None and not self._closed:
+            # Shielded: one sender giving up must not cancel the others.
+            await asyncio.shield(self._drained)
         if self._closed:
             raise TransportError(
                 f"{self.label}: drain on closed channel"
                 if self._close_exc is None else
                 f"{self.label}: drain on dead transport ({self._close_exc})")
-        try:
-            await self._writer.drain()
-        except (ConnectionError, OSError, RuntimeError) as exc:
-            self._finish(exc)
-            raise TransportError(
-                f"{self.label}: peer died during drain ({exc})") from exc
 
-    # -- receiving ----------------------------------------------------------
+    # -- asyncio protocol: the loop calls these -----------------------------
 
-    async def _read_loop(self):
-        decoder = FrameDecoder()
-        exc = None
+    def connection_made(self, transport):
+        self.transport = transport
+        self.peer = transport.get_extra_info("peername")
+        if self._on_connected is not None:
+            self._on_connected(self)
+
+    def get_buffer(self, sizehint):
+        return self._receive_view
+
+    def buffer_updated(self, nbytes):
+        self.bytes_received += nbytes
         rec = telemetry.RECORDER
+        if rec.enabled:
+            rec.count("transport.bytes_received", nbytes, label=self.label)
         try:
-            while True:
-                chunk = await self._reader.read(READ_CHUNK_BYTES)
-                if not chunk:
-                    break  # clean EOF from the peer
-                self.bytes_received += len(chunk)
-                if rec.enabled:
-                    rec.count("transport.bytes_received", len(chunk),
-                              label=self.label)
-                for message in decoder.feed(chunk):
-                    self.frames_received += 1
-                    if rec.enabled:
-                        rec.count("transport.frames_received",
-                                  label=self.label)
-                    self.on_message(message)
-                    if self._closed:
-                        return
-        except asyncio.CancelledError:
-            return  # local close() cancelled us; _finish already ran
-        except (WireError, ConnectionError, OSError) as exc_:
-            exc = exc_
+            messages = self._decoder.feed(self._receive_view[:nbytes])
+        except WireError as exc:
             if rec.enabled:
                 rec.count("transport.read_errors", label=self.label)
-        finally:
             self._finish(exc)
+            return
+        for message in messages:
+            self.frames_received += 1
+            if rec.enabled:
+                rec.count("transport.frames_received", label=self.label)
+            try:
+                self.on_message(message)
+            except Exception as exc:
+                # A handler fault is the channel's death, not a silent
+                # gap in the stream; the loop's exception handler logs it.
+                self._finish(exc)
+                raise
+            if self._closed:
+                return
+
+    def eof_received(self):
+        self._finish(None)  # clean EOF from the peer
+
+    def pause_writing(self):
+        self._drained = self._lost.get_loop().create_future()
+
+    def resume_writing(self):
+        drained, self._drained = self._drained, None
+        if drained is not None:
+            drained.set_result(None)
+
+    def connection_lost(self, exc):
+        if exc is not None and not self._closed:
+            rec = telemetry.RECORDER
+            if rec.enabled:
+                rec.count("transport.read_errors", label=self.label)
+        self._finish(exc)
+        self._lost.set_result(None)
 
     # -- teardown -----------------------------------------------------------
 
@@ -155,36 +187,28 @@ class TcpChannel(Channel):
             return
         self._closed = True
         self._close_exc = exc
-        if (self._reader_task is not None
-                and self._reader_task is not asyncio.current_task()):
-            self._reader_task.cancel()
         try:
-            self._writer.close()
+            self.transport.close()
         except RuntimeError:
             pass  # event loop already gone (interpreter shutdown)
-        if not self._done.done():
-            self._done.set_result(exc)
+        self.resume_writing()  # drainers wake to find the channel closed
         if self.on_close is not None:
             callback, self.on_close = self.on_close, None
             callback(exc)
 
     async def wait_closed(self):
-        """Block until the channel is fully torn down; returns the closing
+        """Block until the socket is released; returns the closing
         exception (``None`` for a clean close)."""
-        exc = await asyncio.shield(self._done)
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass  # the peer may have reset under us; the channel is dead anyway
-        return exc
+        await asyncio.shield(self._lost)
+        return self._close_exc
 
 
 class TcpServer:
     """A listening socket handing accepted :class:`TcpChannel` objects to
     an ``on_channel`` callback."""
 
-    def __init__(self, server, on_channel, label):
-        self._server = server
+    def __init__(self, on_channel, label):
+        self._server = None
         self.on_channel = on_channel
         self.label = label
         self.channels_accepted = 0
@@ -198,18 +222,17 @@ class TcpServer:
     def host(self):
         return self._server.sockets[0].getsockname()[0]
 
-    def _accept(self, reader, writer):
+    def _accept(self, channel):
         self.channels_accepted += 1
         rec = telemetry.RECORDER
         if rec.enabled:
             rec.count("transport.accepted", label=self.label)
-        channel = TcpChannel(reader, writer, label=self.label)
         try:
             self.on_channel(channel)
         except Exception:  # noqa: BLE001 - close the socket, then re-raise as-is
             channel.close()
             raise
-        if channel._reader_task is None and not channel.closed:
+        if channel.on_message is None and not channel.closed:
             channel.close()
             raise TransportError(
                 f"server {self.label!r}: on_channel returned without "
@@ -224,13 +247,16 @@ class TcpServer:
 async def serve_tcp(on_channel, host="127.0.0.1", port=0, label="server"):
     """Listen on ``host:port`` (0 = ephemeral).  ``on_channel(channel)``
     must call ``channel.open(...)`` before returning."""
-    holder = TcpServer(None, on_channel, label)
-    server = await asyncio.start_server(holder._accept, host=host, port=port)
-    holder._server = server
+    holder = TcpServer(on_channel, label)
+    holder._server = await asyncio.get_running_loop().create_server(
+        lambda: TcpChannel(label, on_connected=holder._accept),
+        host=host, port=port)
     return holder
 
 
 async def connect_tcp(host, port, on_message, on_close=None, label="client"):
     """Connect to a listener; returns an opened :class:`TcpChannel`."""
-    reader, writer = await asyncio.open_connection(host, port)
-    return TcpChannel(reader, writer, label=label).open(on_message, on_close)
+    _, channel = await asyncio.get_running_loop().create_connection(
+        lambda: TcpChannel(label=label).open(on_message, on_close),
+        host, port)
+    return channel

@@ -76,42 +76,45 @@ _FIELDS_BY_CLASS = {cls: tuple(f.name for f in fields(cls))
                     for _, cls in MESSAGE_KINDS}
 
 #: Reserved single-key tags the value codec uses for non-JSON types.
-_TAGS = ("__tuple__", "__bytes__", "__map__", "__bulk__", "__error__")
-
-
-def _is_tagged(obj):
-    """Whether a decoded JSON object is one of our single-key tag forms."""
-    return len(obj) == 1 and next(iter(obj)) in _TAGS
+_TAGS = frozenset(("__tuple__", "__bytes__", "__map__", "__bulk__",
+                   "__error__"))
+#: Exact types JSON carries as they are.  A non-finite float is refused
+#: by the encoder itself (``allow_nan=False``).
+_SCALARS = frozenset((type(None), bool, int, float, str))
 
 
 def _encode_value(value):
-    if value is None or isinstance(value, (bool, int, str)):
+    """The JSON-ready form of ``value``: the same object when nothing in
+    it needs a tag, a rebuilt one otherwise."""
+    kind = type(value)
+    if kind in _SCALARS:
         return value
-    if isinstance(value, float):
-        if value != value or value in (float("inf"), float("-inf")):
-            raise WireError(f"non-finite float {value!r} cannot cross the wire")
+    if kind is dict and _TAGS.isdisjoint(value):
+        # Exact-type fast path: a string-keyed dict of plain scalars —
+        # nearly every call body — is already what the encoder wants.
+        for key, item in value.items():
+            if type(key) is not str or type(item) not in _SCALARS:
+                break
+        else:
+            return value
+    if isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, tuple):
         return {"__tuple__": [_encode_value(v) for v in value]}
     if isinstance(value, list):
         return [_encode_value(v) for v in value]
     if isinstance(value, (bytes, bytearray)):
-        return {"__bytes__": binascii.b2a_base64(bytes(value), newline=False)
+        return {"__bytes__": binascii.b2a_base64(value, newline=False)
                 .decode("ascii")}
     if isinstance(value, dict):
-        pairs = []
-        plain = True
-        for key, item in value.items():
-            if not isinstance(key, str):
-                plain = False
-            pairs.append((key, _encode_value(item)))
+        encoded = {key: _encode_value(item) for key, item in value.items()}
         # A dict whose own keys collide with the tag repertoire (or whose
         # keys are not strings) is escaped into explicit pairs.
-        if plain and any(k in _TAGS for k, _ in pairs):
-            plain = False
-        if plain:
-            return dict(pairs)
-        return {"__map__": [[_encode_value(k), v] for k, v in pairs]}
+        if (all(isinstance(key, str) for key in encoded)
+                and _TAGS.isdisjoint(encoded)):
+            return encoded
+        return {"__map__": [[_encode_value(key), item]
+                            for key, item in encoded.items()]}
     if isinstance(value, BulkSource):
         return {"__bulk__": [value.transfer_id, value.nbytes,
                              _encode_value(value.meta), value.consumed]}
@@ -123,46 +126,57 @@ def _encode_value(value):
                     f"the wire: {value!r}")
 
 
-def _decode_value(value):
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, list):
-        return [_decode_value(v) for v in value]
-    if isinstance(value, dict):
-        if _is_tagged(value):
-            tag, body = next(iter(value.items()))
-            try:
-                if tag == "__tuple__":
-                    return tuple(_decode_value(v) for v in body)
-                if tag == "__bytes__":
-                    return binascii.a2b_base64(body.encode("ascii"))
-                if tag == "__map__":
-                    return {_decode_value(k): _decode_value(v)
-                            for k, v in body}
-                if tag == "__bulk__":
-                    transfer_id, nbytes, meta, consumed = body
-                    source = BulkSource(transfer_id, nbytes,
-                                        _decode_value(meta))
-                    source.consumed = consumed
-                    return source
-                if tag == "__error__":
-                    kind, message = body
-                    return RemoteCallError(kind, message)
-            except (TypeError, ValueError, binascii.Error) as exc:
-                raise WireError(f"malformed {tag} payload: {exc}") from exc
-        return {key: _decode_value(v) for key, v in value.items()}
-    raise WireError(f"unexpected JSON value {value!r}")
+def _decode_tag(obj):
+    """``object_hook`` of the payload decoder: the JSON scanner calls it on
+    every object it closes, children first, so tags are resolved in the
+    one pass that parses the text."""
+    if len(obj) != 1:
+        return obj
+    (tag, body), = obj.items()
+    if tag not in _TAGS:
+        return obj
+    try:
+        if tag == "__bytes__":
+            if not isinstance(body, str):
+                raise TypeError("body is not a string")
+            return binascii.a2b_base64(body)
+        if not isinstance(body, list):
+            raise TypeError("body is not a list")
+        if tag == "__tuple__":
+            return tuple(body)
+        if tag == "__map__":
+            if not all(isinstance(pair, list) and len(pair) == 2
+                       for pair in body):
+                raise TypeError("body is not a list of [key, value] pairs")
+            return dict(body)
+        if tag == "__bulk__":
+            transfer_id, nbytes, meta, consumed = body
+            source = BulkSource(transfer_id, nbytes, meta)
+            source.consumed = consumed
+            return source
+        kind, message = body  # __error__
+        return RemoteCallError(kind, message)
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise WireError(f"malformed {tag} payload: {exc}") from exc
+
+
+# ``_encode_value`` hands the encoder either a flat dict of scalars or a
+# tree it has just built, so the encoder's own cycle bookkeeping is moot.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False,
+                            check_circular=False)
+_DECODER = json.JSONDecoder(object_hook=_decode_tag)
 
 
 def encode_message(message):
     """Encode one RPC message dataclass; returns ``(kind, payload_bytes)``."""
-    kind = _KIND_BY_CLASS.get(type(message))
+    cls = type(message)
+    kind = _KIND_BY_CLASS.get(cls)
     if kind is None:
-        raise WireError(f"{type(message).__name__} is not a wire message")
+        raise WireError(f"{cls.__name__} is not a wire message")
     values = [_encode_value(getattr(message, name))
-              for name in _FIELDS_BY_CLASS[type(message)]]
+              for name in _FIELDS_BY_CLASS[cls]]
     try:
-        text = json.dumps(values, separators=(",", ":"), allow_nan=False)
+        text = _ENCODER.encode(values)
     except (TypeError, ValueError) as exc:
         raise WireError(f"message {message!r} is not wire-encodable: "
                         f"{exc}") from exc
@@ -175,18 +189,18 @@ def decode_message(kind, payload):
     if cls is None:
         raise WireError(f"unknown message kind {kind}")
     try:
-        values = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        values = _DECODER.decode(str(payload, "utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays nested deeper than the interpreter allows.
         raise WireError(f"undecodable payload for kind {kind}: {exc}") from exc
-    names = _FIELDS_BY_CLASS[cls]
-    if not isinstance(values, list) or len(values) != len(names):
+    count = len(_FIELDS_BY_CLASS[cls])
+    if not isinstance(values, list) or len(values) != count:
         raise WireError(
             f"{cls.__name__} payload carries "
             f"{len(values) if isinstance(values, list) else 'non-list'} "
-            f"fields, expected {len(names)}"
+            f"fields, expected {count}"
         )
-    return cls(**{name: _decode_value(value)
-                  for name, value in zip(names, values)})
+    return cls(*values)
 
 
 def encode_frame(message):
@@ -226,7 +240,8 @@ def try_decode_frame(buffer, start=0):
     consumed = FRAME_HEADER_BYTES + length
     if available < consumed:
         return None
-    # Only this frame's payload is copied, never the rest of the buffer.
+    # Only this frame's payload is copied (not even that, from a view),
+    # never the rest of the buffer.
     payload = buffer[start + FRAME_HEADER_BYTES:start + consumed]
     if binascii.crc32(payload,
                       binascii.crc32(buffer[start + 2:start + 8])) != crc:
@@ -269,23 +284,40 @@ class FrameDecoder:
         return len(self._buffer)
 
     def feed(self, chunk):
-        """Absorb ``chunk``; return the list of messages it completed."""
+        """Absorb ``chunk``; return the list of messages it completed.
+
+        ``chunk`` may be any bytes-like object, including a view of a
+        buffer the caller is about to overwrite: frames are decoded where
+        they lie, and only an incomplete tail is copied, so nothing
+        returned or retained refers to ``chunk`` afterwards.
+        """
         if self._poisoned:
             raise FrameError("decoder poisoned by an earlier corrupt frame")
         buffer = self._buffer
-        buffer.extend(chunk)
+        if buffer:
+            buffer += chunk
+            chunk = buffer
         messages = []
         start = 0
+        view = memoryview(chunk)
+        end = len(view)
         try:
-            while True:
-                result = try_decode_frame(buffer, start)
+            while start < end:
+                result = try_decode_frame(view, start)
                 if result is None:
-                    return messages
+                    break
                 messages.append(result[0])
                 start += result[1]
-        except (FrameError, WireError):
+        except WireError:
             self._poisoned = True
+            # The undecodable tail stays pending, in a buffer of its own:
+            # the traceback pins views of the old one, which cannot shrink.
+            self._buffer = bytearray(view[start:])
             raise
-        finally:
+        if chunk is not buffer:
+            buffer += view[start:]
+        elif start:
             # Compact once per feed, not once per frame.
+            view.release()
             del buffer[:start]
+        return messages

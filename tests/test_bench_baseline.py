@@ -278,8 +278,8 @@ def test_script_capture_keeps_higher_is_better_directions(tmp_path):
     assert doc["metrics"]["test_event_loop_throughput.min_seconds"][
         "tolerance"] == MIN_SECONDS_TOLERANCE
 
-    # Half the clients per second is a regression; twice is not.
-    name = "test_event_loop_throughput.fleet_clients_per_second"
+    # Half the rate is a regression; twice is not.
+    name = "test_event_loop_throughput.fleet_per_second"
     current = {metric: entry["value"]
                for metric, entry in doc["metrics"].items()}
     slow = compare_metrics({**current, name: 4.0}, doc)

@@ -1,12 +1,17 @@
 """Broker behavior: handshake, namespaces, relays, upcalls, liveness."""
 
 import asyncio
+import selectors
 
 import pytest
 
-from repro.broker import Broker, BrokerClient
+from repro import telemetry
+from repro.broker import HELLO_OP, Broker, BrokerClient
 from repro.connectivity import AsyncHeartbeatProber
 from repro.errors import RemoteCallError, RpcTimeout, TransportError
+from repro.rpc.messages import CallRequest, CallResponse
+from repro.transport import FrameDecoder, encode_frame, serve_tcp
+from tests.test_transport_wire import MALFORMED_TAG_BODIES, hostile_request
 
 
 def run(coro):
@@ -293,3 +298,190 @@ def test_probe_failures_feed_the_tracker():
         return grew
 
     assert run(scenario())
+
+
+# -- the call path: deadlines and per-call work ------------------------------------
+
+class CountingSelector(selectors.DefaultSelector):
+    """Counts loop turns: the event loop polls exactly once per turn."""
+
+    turns = 0
+
+    def select(self, timeout=None):
+        self.turns += 1
+        return super().select(timeout)
+
+
+class CountingLoop(asyncio.SelectorEventLoop):
+    """Counts the public scheduling calls and keeps the timers made."""
+
+    def __init__(self):
+        self.selector = CountingSelector()
+        super().__init__(self.selector)
+        self.soon = 0
+        self.timers = []
+
+    def call_soon(self, callback, *args, **kwargs):
+        self.soon += 1
+        return super().call_soon(callback, *args, **kwargs)
+
+    def call_later(self, delay, callback, *args, **kwargs):
+        handle = super().call_later(delay, callback, *args, **kwargs)
+        self.timers.append(handle)
+        return handle
+
+    def work(self):
+        return self.selector.turns, self.soon, len(self.timers)
+
+
+def run_counted(scenario):
+    loop = CountingLoop()
+    try:
+        return loop.run_until_complete(
+            asyncio.wait_for(scenario(loop), 30.0))
+    finally:
+        loop.close()
+
+
+def test_an_echo_round_trip_costs_three_turns_one_wakeup_one_timer():
+    """The work gate.  Request out, broker's read handles it and replies,
+    client's read resolves the call, the caller wakes: three loop turns,
+    the one ``call_soon`` that wakes the caller, the one deadline timer.
+    Exact, so it holds at zero tolerance where calls per second cannot
+    (stream reader + reader task + ``wait_for``: 6 turns, 4, 1)."""
+
+    async def scenario(loop):
+        # A reaper that never fires inside the test: no stray timers.
+        broker = await start_broker(heartbeat_timeout=3600.0)
+        client = await connect(broker, "alpha")
+        try:
+            for n in range(3):  # warmed up: lazy imports, first reads
+                await client.call("echo", {"n": n})
+            costs = []
+            for n in range(5):
+                before = loop.work()
+                await client.call("echo", {"n": n, "pad": "x" * 256})
+                costs.append(tuple(
+                    after - start
+                    for after, start in zip(loop.work(), before)))
+            return costs
+        finally:
+            await client.close()
+            await broker.close()
+
+    assert run_counted(scenario) == [(3, 1, 1)] * 5
+
+
+async def start_slow_server(delay):
+    """Speaks just enough broker to connect to; answers ``slow`` calls
+    ``delay`` seconds late."""
+
+    def on_channel(channel):
+        def reply(request, body):
+            if not channel.closed:
+                channel.send(CallResponse(request.connection_id, request.seq,
+                                          body, 64, 0.0))
+
+        def on_message(request):
+            if request.op == HELLO_OP:
+                reply(request, {"namespace": "clients/x",
+                                "heartbeat_seconds": 10.0})
+            elif request.op == "slow":
+                asyncio.get_running_loop().call_later(
+                    delay, reply, request, {"late": True})
+            else:
+                reply(request, request.body)
+
+        channel.open(on_message)
+
+    return await serve_tcp(on_channel)
+
+
+def test_timed_out_call_raises_and_its_late_reply_is_counted():
+    async def scenario(loop):
+        server = await start_slow_server(delay=0.15)
+        client = await BrokerClient("127.0.0.1", server.port, "x").connect()
+        try:
+            with pytest.raises(RpcTimeout, match="'slow' timed out after"):
+                await client.call("slow", timeout=0.05)
+            pending_after_timeout = len(client._pending)
+            for _ in range(500):
+                if client.late_replies:
+                    break
+                await asyncio.sleep(0.01)
+            # The connection is still good for the next call.
+            echoed = await client.call("echo", {"still": "here"})
+            return (client.timeouts, client.late_replies,
+                    pending_after_timeout, echoed,
+                    client.tracker.failures)
+        finally:
+            await client.close(polite=False)
+            await server.close()
+
+    timeouts, late, pending, echoed, failures = run_counted(scenario)
+    assert (timeouts, late, pending) == (1, 1, 0)
+    assert echoed == {"still": "here"}
+    assert failures == 1  # the timeout is connectivity evidence
+
+
+def test_a_completed_call_leaves_no_live_timer_behind():
+    async def scenario(loop):
+        broker = await start_broker(heartbeat_timeout=3600.0)
+        client = await connect(broker, "alpha")
+        try:
+            made = len(loop.timers)
+            for n in range(10):
+                await client.call("echo", {"n": n}, timeout=30.0)
+            with pytest.raises(RemoteCallError, match="no handler"):
+                await client.call("nope", timeout=30.0)
+            return loop.timers[made:]
+        finally:
+            await client.close()
+            await broker.close()
+
+    timers = run_counted(scenario)
+    assert len(timers) == 11  # one deadline per call ...
+    assert all(timer.cancelled() for timer in timers)  # ... none left armed
+
+
+# -- hostile peers ---------------------------------------------------------------
+
+@pytest.mark.parametrize("body", MALFORMED_TAG_BODIES[1::4], ids=repr)
+def test_malformed_tag_after_a_valid_hello_tears_the_session_down(body):
+    """A peer that shook hands properly and then sends a well-framed
+    request whose tag body means nothing: the broker drops that session
+    as a transport death — and keeps serving everyone else."""
+
+    async def scenario():
+        broker = await start_broker()
+        bystander = await connect(broker, "bystander")
+        reader, writer = await asyncio.open_connection(*broker.address)
+        writer.write(encode_frame(CallRequest(
+            "mallory", 1, HELLO_OP, {"client": "mallory"}, 64, "")))
+        decoder = FrameDecoder()
+        replies = []
+        while not replies:
+            replies += decoder.feed(await reader.read(4096))
+        named = broker.describe()["clients"]
+        writer.write(hostile_request(body))
+        tail = await reader.read()  # EOF: the broker hung up
+        state = broker.describe()
+        echoed = await bystander.call("echo", {"ok": True})
+        writer.close()
+        await bystander.close()
+        await broker.close()
+        return replies, named, tail, state, echoed
+
+    with telemetry.enabled() as recorder:
+        replies, named, tail, state, echoed = run(scenario())
+    assert replies[0].body["namespace"] == "clients/mallory"
+    assert named == 2
+    assert tail == b""  # no reply to the malformed request, just the close
+    assert state["clients"] == 1 and state["connections_closed"] == 1
+    assert state["errors_returned"] == 0
+    assert echoed == {"ok": True}
+    teardown = [event["fields"] for event
+                in recorder.trace.events(name="broker.teardown")
+                if event["fields"]["client"] == "mallory"]
+    assert len(teardown) == 1
+    assert teardown[0]["reason"].startswith("socket error: malformed")

@@ -1,6 +1,8 @@
 """Per-connection bandwidth estimation (Eq. 2) and its defenses."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.estimation.bandwidth import (
     BASE_RTT_HORIZON,
@@ -8,6 +10,7 @@ from repro.estimation.bandwidth import (
     ConnectionEstimator,
 )
 from repro.rpc.logs import RoundTripEntry, RpcLog, ThroughputEntry
+from repro.sim.kernel import Simulator
 
 
 def rtt_entry(at, seconds):
@@ -68,6 +71,40 @@ def test_base_rtt_forgets_stale_minimum(sim):
     sim.run(until=BASE_RTT_HORIZON + 5)
     estimator.on_round_trip(log, rtt_entry(sim.now, 0.050))
     assert estimator.base_round_trip == pytest.approx(0.050)
+
+
+#: Few distinct samples, so equal and dominated ones are the common case;
+#: gaps from "same instant" to "the whole window has aged out".
+rtt_steps = st.lists(
+    st.tuples(st.sampled_from([0.0, 0.0, 0.4, 3.0, 11.0, 29.5, 30.0, 30.5,
+                               75.0]),
+              st.sampled_from([0.010, 0.020, 0.020, 0.035, 0.2]),
+              st.booleans()),
+    min_size=1, max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=rtt_steps)
+def test_base_rtt_matches_a_brute_force_windowed_minimum(steps):
+    """The monotone deque against the definition: every sample kept,
+    expired only when a new one is absorbed, minimum by scanning — the
+    same float, read between updates as well as right after one."""
+    sim = Simulator()
+    estimator = ConnectionEstimator(sim)
+    log = RpcLog(sim, "c")
+    window = []  # (time, sample), nothing ever dropped early
+    for gap, sample, read_later in steps:
+        sim.run(until=sim.now + gap)
+        estimator.on_round_trip(log, rtt_entry(sim.now, sample))
+        window.append((sim.now, sample))
+        window = [(at, s) for at, s in window
+                  if at >= sim.now - BASE_RTT_HORIZON]
+        assert estimator.base_round_trip == min(s for _, s in window)
+        if read_later:
+            # A read long after the last update still sees that update's
+            # window: expiry happens on absorb, never on read.
+            sim.run(until=sim.now + 40.0)
+            assert estimator.base_round_trip == min(s for _, s in window)
 
 
 def test_own_log_aggregation_counts_pipelined_windows(sim):

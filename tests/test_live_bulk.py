@@ -293,6 +293,32 @@ def test_every_fetched_byte_is_absorbed_exactly_once(bandwidth):
         assert result.windows <= receipts < result.fragments
 
 
+def test_a_train_paced_a_loop_turn_per_fragment_is_still_one_train():
+    """An "unlimited" throttle still yields to the loop per fragment, so
+    every fragment reaches the receiver alone and a moment apart.  What
+    makes a train is the pause after it (``RECEIPT_HOLD``), not whether
+    the receiver happened to be slow enough for a queue to form."""
+
+    async def scenario():
+        broker = await start_live_broker(throttle=Throttle(bandwidth=1e12))
+        client, receiver = await connect_receiver(broker, "alpha")
+        try:
+            transfer_id = await receiver.open("blob", 1 << 20)
+            result = await receiver.fetch(transfer_id, 262_144,
+                                          window_bytes=65_536,
+                                          fragment_bytes=4_096)
+            return result, broker.describe_bulk()
+        finally:
+            await client.close()
+            await broker.close()
+
+    result, bulk = run(scenario())
+    assert result.fragments == 64 and result.windows == 4
+    assert bulk["receipt_bytes"] == bulk["bytes_streamed"] == 262_144
+    # One per window unless the host stalled mid-train; never one each.
+    assert result.windows <= bulk["receipts_absorbed"] <= 16
+
+
 def test_unreported_fetch_sends_no_samples_at_all():
     async def scenario():
         broker = await start_live_broker()

@@ -6,7 +6,12 @@ import time
 import pytest
 
 from repro.errors import RpcTimeout
-from repro.rpc.clock import MonotonicClock, RetrySchedule, SimClock
+from repro.rpc.clock import (
+    MonotonicClock,
+    RetrySchedule,
+    SimClock,
+    wait_with_deadline,
+)
 from repro.rpc.connection import RetryPolicy
 from repro.sim.kernel import Simulator
 
@@ -116,3 +121,45 @@ def test_broker_client_retry_honours_deadline():
     # t=5; next backoff would land at the deadline -> exhausted.
     assert attempts == [2.0, pytest.approx(2.0)]
     assert client.clock.sleeps == [1.0]
+
+
+# -- the per-call deadline -------------------------------------------------------
+
+def test_deadline_returns_the_result_of_a_future_that_completes():
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
+        loop.call_later(0.01, future.set_result, "done")
+        return await wait_with_deadline(future, 5.0)
+
+    assert asyncio.run(scenario()) == "done"
+
+
+def test_deadline_expiry_fails_the_future_itself():
+    async def scenario():
+        future = asyncio.get_running_loop().create_future()
+        with pytest.raises(asyncio.TimeoutError):
+            await wait_with_deadline(future, 0.01)
+        # The late result finds the future done: the owner can tell.
+        return future.done(), isinstance(future.exception(),
+                                         asyncio.TimeoutError)
+
+    assert asyncio.run(scenario()) == (True, True)
+
+
+def test_deadline_passes_a_failure_and_a_cancellation_through():
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        failing = loop.create_future()
+        loop.call_soon(failing.set_exception, RpcTimeout("theirs"))
+        with pytest.raises(RpcTimeout, match="theirs"):
+            await wait_with_deadline(failing, 5.0)
+        parked = loop.create_future()
+        waiter = asyncio.ensure_future(wait_with_deadline(parked, 5.0))
+        await asyncio.sleep(0)
+        waiter.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await waiter
+        return parked.cancelled()
+
+    assert asyncio.run(scenario())

@@ -7,6 +7,10 @@ truncated or corrupted frame is rejected with a typed error — never
 decoded into a different message.
 """
 
+import binascii
+import json
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -179,6 +183,173 @@ def test_corruption_poisons_the_streaming_decoder(message, data):
         decoder.feed(bytes(frame))
     with pytest.raises(FrameError):
         decoder.feed(b"")
+
+
+# -- the encoder against its specification --------------------------------------
+
+def reference_value(value):
+    """The value codec as the format was first written: one plain
+    recursive walk, every value rebuilt.  Slow and obviously right."""
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, tuple):
+        return {"__tuple__": [reference_value(v) for v in value]}
+    if isinstance(value, list):
+        return [reference_value(v) for v in value]
+    if isinstance(value, (bytes, bytearray)):
+        return {"__bytes__": binascii.b2a_base64(bytes(value), newline=False)
+                .decode("ascii")}
+    if isinstance(value, dict):
+        pairs = [(key, reference_value(item)) for key, item in value.items()]
+        if all(isinstance(key, str) and key not in TAGS for key, _ in pairs):
+            return dict(pairs)
+        return {"__map__": [[reference_value(key), item]
+                            for key, item in pairs]}
+    if isinstance(value, BulkSource):
+        return {"__bulk__": [value.transfer_id, value.nbytes,
+                             reference_value(value.meta), value.consumed]}
+    assert isinstance(value, RemoteCallError)
+    return {"__error__": [value.kind, value.message]}
+
+
+TAGS = ("__tuple__", "__bytes__", "__map__", "__bulk__", "__error__")
+FIELD_ORDER = {
+    CallRequest: ("connection_id", "seq", "op", "body", "body_bytes",
+                  "reply_port"),
+    CallResponse: ("connection_id", "seq", "body", "body_bytes",
+                   "server_seconds", "error"),
+    WindowRequest: ("connection_id", "seq", "transfer_id", "offset",
+                    "window_bytes", "fragment_bytes", "reply_port"),
+    Fragment: ("connection_id", "seq", "transfer_id", "offset", "nbytes",
+               "last_in_window", "last_in_transfer"),
+    BulkPush: ("connection_id", "seq", "transfer_id", "offset", "nbytes",
+               "last_in_window", "last_in_transfer", "reply_port", "body",
+               "response_seq"),
+    WindowAck: ("connection_id", "seq", "transfer_id", "next_offset"),
+    ServerReply: ("body", "body_bytes", "compute_seconds", "bulk"),
+}
+
+
+def raw_frame(kind, values):
+    """A checksummed frame around an arbitrary JSON payload: what the
+    format allows on the wire, including what ``encode_frame`` never
+    writes (the hostile-peer tests build their frames here)."""
+    payload = json.dumps(values, separators=(",", ":")).encode("utf-8")
+    tail = struct.pack(">BBL", WIRE_VERSION, kind, len(payload))
+    crc = binascii.crc32(payload, binascii.crc32(tail))
+    return MAGIC + tail + crc.to_bytes(4, "big") + payload
+
+
+@settings(max_examples=300, deadline=None)
+@given(message=messages)
+def test_frames_are_byte_identical_to_the_reference_encoder(message):
+    """The fast paths change how a frame is produced, never its bytes."""
+    kind = {cls: code for code, cls in MESSAGE_KINDS}[type(message)]
+    values = [reference_value(getattr(message, name))
+              for name in FIELD_ORDER[type(message)]]
+    assert encode_frame(message) == raw_frame(kind, values)
+
+
+# -- malformed tag bodies --------------------------------------------------------
+
+#: Bodies a peer can put inside a frame whose checksum is good: each uses
+#: a reserved tag with a body the tag cannot mean.
+MALFORMED_TAG_BODIES = [
+    {"__bytes__": 5}, {"__bytes__": ["QUJD"]}, {"__bytes__": "A"},
+    {"__bytes__": "\u00e9"},
+    {"__map__": 5}, {"__map__": [1]}, {"__map__": [[1]]},
+    {"__map__": [[1, 2, 3]]}, {"__map__": ["ab"]},
+    {"__map__": [[[1], 2]]}, {"__map__": [[{"a": 1}, 2]]},
+    {"__bulk__": 7}, {"__bulk__": [1, 2, 3]}, {"__bulk__": "abcd"},
+    {"__bulk__": [1, 2, 3, 4, 5]},
+    {"__error__": None}, {"__error__": ["only-kind"]}, {"__error__": "ab"},
+    {"__error__": [1, 2, 3]},
+    {"__tuple__": 5}, {"__tuple__": "abc"}, {"__tuple__": {"a": 1}},
+]
+
+
+def hostile_request(body):
+    """A well-framed ``CallRequest`` carrying ``body`` as JSON, verbatim."""
+    return raw_frame(1, ["c", 1, "op", body, 10, ""])
+
+
+@pytest.mark.parametrize("body", MALFORMED_TAG_BODIES, ids=repr)
+def test_malformed_tag_body_is_a_wire_error_and_poisons_the_decoder(body):
+    """Never a bare ``AttributeError``/``TypeError``, never a value the
+    sender did not mean — wherever in the message the tag sits."""
+    with pytest.raises(WireError, match="malformed"):
+        decode_frame(hostile_request(body))
+    with pytest.raises(WireError, match="malformed"):
+        decode_frame(hostile_request({"deep": [1, {"er": body}]}))
+    decoder = FrameDecoder()
+    good = encode_frame(WindowAck("c", 1, 2, 3))
+    with pytest.raises(WireError, match="malformed"):
+        decoder.feed(good + hostile_request(body) + good)
+    with pytest.raises(FrameError, match="poisoned"):
+        decoder.feed(good)
+
+
+def test_malformed_frame_behind_a_buffered_fragment_is_still_a_wire_error():
+    """The bad frame is decoded out of the decoder's own buffer here (a
+    partial frame was held over), which must not turn the typed error
+    into a ``BufferError`` while that buffer is being compacted."""
+    good = encode_frame(WindowAck("c", 1, 2, 3))
+    stream = good + hostile_request({"__bytes__": 5})
+    decoder = FrameDecoder()
+    assert decoder.feed(stream[:5]) == []
+    with pytest.raises(WireError, match="malformed"):
+        decoder.feed(stream[5:])
+    assert decoder.pending_bytes == len(stream) - len(good)
+    with pytest.raises(FrameError, match="poisoned"):
+        decoder.feed(good)
+
+
+def test_payload_nested_past_the_recursion_limit_is_a_wire_error():
+    depth = 200_000
+    payload = b"[" * depth + b"]" * depth
+    with pytest.raises(WireError, match="undecodable"):
+        decode_message(1, payload)
+
+
+def test_well_formed_tags_in_a_raw_frame_still_decode():
+    """The hostile-frame builder itself is sound: the same route with
+    honest bodies yields the values the tags stand for."""
+    body = {"t": {"__tuple__": [1, [2]]}, "b": {"__bytes__": "QUJD"},
+            "m": {"__map__": [[{"__tuple__": [1, 2]}, "pair"], [3, None]]},
+            "s": {"__bulk__": [7, 4096, {"name": "x"}, 1024]},
+            "e": {"__error__": ["ValueError", "bad"]}}
+    decoded, _ = decode_frame(hostile_request(body))
+    assert decoded.body["t"] == (1, [2])
+    assert decoded.body["b"] == b"ABC"
+    assert decoded.body["m"] == {(1, 2): "pair", 3: None}
+    assert decoded.body["s"] == BulkSource(7, 4096, {"name": "x"})
+    assert decoded.body["s"].consumed == 1024
+    assert decoded.body["e"] == RemoteCallError("ValueError", "bad")
+
+
+# -- the streaming decoder and borrowed buffers ----------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(batch=st.lists(messages, min_size=1, max_size=4), data=st.data())
+def test_decoder_never_keeps_a_reference_into_a_fed_buffer(batch, data):
+    """The channel feeds views of one buffer it overwrites on the next
+    read: whatever the decoder returns or retains must be a copy."""
+    stream = b"".join(encode_frame(m) for m in batch)
+    scratch = bytearray(len(stream))
+    decoder = FrameDecoder()
+    received = []
+    offset = 0
+    while offset < len(stream):
+        size = data.draw(st.integers(min_value=1,
+                                     max_value=len(stream) - offset),
+                         label="chunk size")
+        scratch[:size] = stream[offset:offset + size]
+        with memoryview(scratch) as view:
+            received.extend(decoder.feed(view[:size]))
+        scratch[:size] = b"\xff" * size  # the next read lands on top
+        offset += size
+    assert received == batch
+    assert decoder.pending_bytes == 0
 
 
 # -- value-codec corners -----------------------------------------------------
