@@ -12,7 +12,7 @@ Run:  python examples/custom_warden.py
 """
 
 from repro.apps.base import Application, negotiate
-from repro.core import OdysseyAPI, Resource, Viceroy, Warden
+from repro.core import FidelityLadder, OdysseyAPI, Resource, Viceroy, Warden
 from repro.errors import ProcessInterrupt
 from repro.net import Network
 from repro.rpc import RpcService, ServerReply
@@ -80,31 +80,23 @@ class MonitoringApp(Application):
         super().__init__(sim, api, "monitor")
         self.path = path
         self.windows = []
-
-    def demand(self, rate_hz):
-        return rate_hz * BYTES_PER_SAMPLE * 1.3  # protocol headroom
-
-    def best_rate(self, level):
-        if level is None:
-            return max(SAMPLING_RATES)
-        affordable = [r for r in SAMPLING_RATES if self.demand(r) <= level]
-        return max(affordable) if affordable else min(SAMPLING_RATES)
+        # Slowest rate first; each demands its bytes plus protocol
+        # headroom, and an upgrade needs 10 % over the faster rate's.
+        self.ladder = FidelityLadder(
+            sorted(SAMPLING_RATES),
+            lambda rate_hz: rate_hz * BYTES_PER_SAMPLE * 1.3,
+            upper_margin=1.1,
+        )
+        self.rate_hz = None
 
     def _register(self, level_hint=None):
         def on_level(level):
-            rate = self.best_rate(level)
-            self.sim.process(self._apply_rate(rate))
-
-        def window_for(level):
-            rate = self.best_rate(level)
-            better = [r for r in SAMPLING_RATES if r > rate]
-            lower = 0.0 if rate == min(SAMPLING_RATES) else self.demand(rate)
-            upper = self.demand(min(better)) * 1.1 if better else 1e12
-            return lower, upper
+            self.rate_hz = self.ladder.best(level)
+            self.sim.process(self._apply_rate(self.rate_hz))
 
         negotiate(self.api, self.path, Resource.NETWORK_BANDWIDTH,
-                  window_for, on_level, level_hint=level_hint,
-                  handler="telemetry-bw")
+                  lambda level: self.ladder.window(self.rate_hz), on_level,
+                  level_hint=level_hint, handler="telemetry-bw")
 
     def _apply_rate(self, rate):
         current = yield from self.api.tsop(self.path, "set-rate",

@@ -4,6 +4,7 @@ from dataclasses import dataclass, field
 
 from repro.apps.base import Application, negotiate
 from repro.apps.files.warden import CONSISTENCY_LEVELS
+from repro.core.ladder import FidelityLadder
 from repro.core.resources import Resource
 from repro.errors import ProcessInterrupt
 
@@ -12,7 +13,6 @@ from repro.errors import ProcessInterrupt
 #: per open, so it wants a healthy link.
 LEVEL_DEMAND = {1.0: 64 * 1024, 0.5: 16 * 1024, 0.1: 0.0}
 UPGRADE_MARGIN = 1.10
-NO_UPPER = 1e12
 
 
 @dataclass
@@ -60,33 +60,19 @@ class DocumentReader(Application):
         self.measure_from = measure_from
         self.stats = ReaderStats()
         self.level = policy if policy != "adaptive" else 1.0
-        self._levels = sorted(CONSISTENCY_LEVELS, reverse=True)
-
-    def best_level_for(self, bandwidth):
-        if bandwidth is None:
-            return self._levels[0]
-        for level in self._levels:
-            if LEVEL_DEMAND[level] <= bandwidth:
-                return level
-        return self._levels[-1]
-
-    def _window_for_level(self, level):
-        lower = LEVEL_DEMAND[level]
-        better = [l for l in self._levels if l > level]
-        upper = LEVEL_DEMAND[min(better)] * UPGRADE_MARGIN if better else NO_UPPER
-        return lower, upper
+        self.ladder = FidelityLadder(sorted(CONSISTENCY_LEVELS),
+                                     LEVEL_DEMAND.__getitem__, UPGRADE_MARGIN)
 
     def _register(self, level_hint=None):
         if self.policy != "adaptive":
             return
 
         def on_level(bandwidth):
-            self.level = self.best_level_for(bandwidth)
+            self.level = self.ladder.best(bandwidth)
 
         negotiate(
             self.api, self.path, Resource.NETWORK_BANDWIDTH,
-            window_for=lambda bw: self._window_for_level(
-                self.best_level_for(bw)),
+            window_for=lambda bw: self.ladder.window(self.level),
             on_level=on_level,
             level_hint=level_hint,
             handler="files-bandwidth",

@@ -16,6 +16,7 @@ about coordinating background applications).
 from dataclasses import dataclass, field
 
 from repro.apps.base import Application, negotiate
+from repro.core.ladder import NO_UPPER
 from repro.core.resources import Resource
 from repro.core.warden import Warden
 from repro.errors import OdysseyError, ProcessInterrupt
@@ -141,7 +142,7 @@ class InformationFilter(Application):
             lower = 0.0
             if (self.detail, self.period) != (self._details[-1], POLL_PERIODS[-1]):
                 lower = self.demand(self.detail, self.period)
-            return lower, 1e12
+            return lower, NO_UPPER
 
         negotiate(self.api, self.path, Resource.NETWORK_BANDWIDTH,
                   window_for, on_level, level_hint=level_hint,

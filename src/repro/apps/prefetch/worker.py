@@ -4,6 +4,7 @@ from dataclasses import dataclass, field
 
 from repro.apps.base import Application, negotiate
 from repro.apps.prefetch.maps import TILE_FIDELITIES, tile_bytes
+from repro.core.ladder import FidelityLadder
 from repro.core.resources import Resource
 from repro.errors import ProcessInterrupt
 
@@ -11,7 +12,6 @@ from repro.errors import ProcessInterrupt
 VIEW_GOAL_SECONDS = 0.5
 #: Hysteresis multiple for resolution upgrades.
 UPGRADE_MARGIN = 1.10
-NO_UPPER = 1e12
 
 
 def walk_path(length, seed=0, start=(0, 0)):
@@ -64,7 +64,7 @@ class FieldWorker(Application):
     ----------
     dwell_seconds:
         Time spent assessing each position before moving on — the window
-    	the prefetcher has to stay ahead.
+        the prefetcher has to stay ahead.
     policy:
         ``"adaptive"`` or a fixed fidelity level.
     """
@@ -79,7 +79,8 @@ class FieldWorker(Application):
         self.measure_from = measure_from
         self.stats = WorkerStats()
         self.fidelity = policy if policy != "adaptive" else 1.0
-        self._levels = sorted(TILE_FIDELITIES, reverse=True)
+        self.ladder = FidelityLadder(sorted(TILE_FIDELITIES), self.demand,
+                                     UPGRADE_MARGIN)
 
     # -- adaptation: resolution from bandwidth -----------------------------
 
@@ -88,31 +89,16 @@ class FieldWorker(Application):
         mean_tile = TILE_FIDELITIES[fidelity]
         return mean_tile * 1.25 / self.dwell_seconds  # headroom for headers
 
-    def best_level_for(self, bandwidth):
-        if bandwidth is None:
-            return self._levels[0]
-        for level in self._levels:
-            if self.demand(level) <= bandwidth:
-                return level
-        return self._levels[-1]
-
-    def _window_for_level(self, level):
-        lower = 0.0 if level == self._levels[-1] else self.demand(level)
-        better = [l for l in self._levels if l > level]
-        upper = self.demand(min(better)) * UPGRADE_MARGIN if better else NO_UPPER
-        return lower, upper
-
     def _register(self, level_hint=None):
         if self.policy != "adaptive":
             return
 
         def on_level(bandwidth):
-            self.fidelity = self.best_level_for(bandwidth)
+            self.fidelity = self.ladder.best(bandwidth)
 
         negotiate(
             self.api, self.path, Resource.NETWORK_BANDWIDTH,
-            window_for=lambda bw: self._window_for_level(
-                self.best_level_for(bw)),
+            window_for=lambda bw: self.ladder.window(self.fidelity),
             on_level=on_level,
             level_hint=level_hint,
             handler="maps-bandwidth",

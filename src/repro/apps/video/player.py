@@ -13,6 +13,7 @@ stalls — a movie is 60 seconds long no matter what.
 from dataclasses import dataclass, field
 
 from repro.apps.base import Application, negotiate
+from repro.core.ladder import FidelityLadder
 from repro.core.resources import Resource
 from repro.errors import ProcessInterrupt
 
@@ -21,8 +22,6 @@ from repro.errors import ProcessInterrupt
 WIRE_OVERHEAD_BYTES = 224
 #: Hysteresis: an upgrade needs this multiple of the better track's demand.
 UPGRADE_MARGIN = 1.03
-#: A huge upper bound standing in for "no upgrade possible".
-NO_UPPER = 1e12
 #: Frames buffered (via warden read-ahead) before the playback clock starts.
 STARTUP_BUFFER_FRAMES = 4
 #: Minimum seconds between track switches.  Every switch empties the
@@ -76,10 +75,9 @@ class VideoPlayer(Application):
         self.measure_from = measure_from
         self.stats = PlayerStats()
         self.meta = None
-        self.demands = {}
         self.fidelities = {}
+        self.ladder = None  # tracks by ascending fidelity, once meta arrives
         self.current_track = None
-        self._tracks_by_quality = []  # ascending fidelity
         self._rebuffer_pending = False
         self._last_switch = None
         self._dwelling = False
@@ -90,42 +88,17 @@ class VideoPlayer(Application):
     def _load_meta(self, meta):
         self.meta = meta
         tracks = meta["tracks"]
-        self._tracks_by_quality = sorted(tracks, key=lambda t: tracks[t]["fidelity"])
         self.fidelities = {t: tracks[t]["fidelity"] for t in tracks}
-        self.demands = {
-            t: tracks[t]["bandwidth"] + WIRE_OVERHEAD_BYTES * meta["fps"]
-            for t in tracks
-        }
+        self.ladder = FidelityLadder(
+            sorted(tracks, key=lambda t: tracks[t]["fidelity"]),
+            lambda t: tracks[t]["bandwidth"] + WIRE_OVERHEAD_BYTES * meta["fps"],
+            UPGRADE_MARGIN,
+        )
 
     def best_track_for(self, level):
-        """Highest-fidelity track sustainable at availability ``level``.
-
-        "The player begins the movie at highest possible quality" — with no
-        estimate at all, optimism is the paper's choice.
-        """
-        if level is None:
-            return self._tracks_by_quality[-1]
-        best = self._tracks_by_quality[0]
-        for track in self._tracks_by_quality:
-            if self.demands[track] <= level:
-                best = track
-        return best
-
-    def _window_for_track(self, track):
-        """Tolerance window while playing ``track``.
-
-        Below the lower edge the track is unsustainable; above the upper
-        edge the next-better track (with hysteresis margin) fits.
-        """
-        lower = self.demands[track]
-        index = self._tracks_by_quality.index(track)
-        if track == self._tracks_by_quality[0]:
-            lower = 0.0  # nothing worse to fall back to
-        if index + 1 < len(self._tracks_by_quality):
-            upper = self.demands[self._tracks_by_quality[index + 1]] * UPGRADE_MARGIN
-        else:
-            upper = NO_UPPER
-        return lower, upper
+        """Track to play at availability ``level``: the ladder's choice, kept
+        as a method so a subclass can cap it (``examples/battery_aware.py``)."""
+        return self.ladder.best(level)
 
     def _register(self, level_hint=None):
         if self.policy != "adaptive":
@@ -150,7 +123,7 @@ class VideoPlayer(Application):
             self._rebuffer_pending = True
 
         def window_for(level):
-            lower, upper = self._window_for_track(self.current_track)
+            lower, upper = self.ladder.window(self.current_track)
             if self._dwelling and level is not None:
                 # Refusing to switch while the estimate sits outside the
                 # track's window: widen so the registration is accepted;

@@ -16,6 +16,7 @@ from repro.apps.base import Application, negotiate
 from repro.apps.web.distill import DISTILL_COMPUTE
 from repro.apps.web.images import FIDELITY_LEVELS, distilled_bytes
 from repro.apps.web.server import WEB_SERVER_COMPUTE
+from repro.core.ladder import NO_UPPER, FidelityLadder
 from repro.core.resources import Resource
 from repro.errors import ProcessInterrupt
 
@@ -32,7 +33,6 @@ FIXED_OVERHEAD_SECONDS = (
 )
 #: Hysteresis: an upgrade needs this multiple of the level's minimum bandwidth.
 UPGRADE_MARGIN = 1.05
-NO_UPPER = 1e12
 
 
 @dataclass
@@ -90,7 +90,8 @@ class CellophaneBrowser(Application):
         self.measure_from = measure_from
         self.stats = BrowserStats()
         self.level = policy if policy != "adaptive" else 1.0
-        self._levels = sorted(FIDELITY_LEVELS, reverse=True)  # best first
+        self.ladder = FidelityLadder(sorted(FIDELITY_LEVELS), self.min_bandwidth,
+                                     UPGRADE_MARGIN)
 
     # -- adaptation ---------------------------------------------------------
 
@@ -107,36 +108,16 @@ class CellophaneBrowser(Application):
             return NO_UPPER
         return size / budget
 
-    def best_level_for(self, bandwidth):
-        """Best fidelity meeting the goal at ``bandwidth`` (None = optimism)."""
-        if bandwidth is None:
-            return self._levels[0]
-        for level in self._levels:
-            if self.min_bandwidth(level) <= bandwidth:
-                return level
-        return self._levels[-1]  # even the worst misses the goal; degrade fully
-
-    def _window_for_level(self, level):
-        lower = self.min_bandwidth(level)
-        if level == self._levels[-1]:
-            lower = 0.0
-        better = [l for l in self._levels if l > level]
-        if better:
-            upper = self.min_bandwidth(min(better)) * UPGRADE_MARGIN
-        else:
-            upper = NO_UPPER
-        return lower, upper
-
     def _register(self, level_hint=None):
         if self.policy != "adaptive":
             return
 
         def on_level(bandwidth):
-            self.level = self.best_level_for(bandwidth)
+            self.level = self.ladder.best(bandwidth)
 
         negotiate(
             self.api, self.path, Resource.NETWORK_BANDWIDTH,
-            window_for=lambda bw: self._window_for_level(self.best_level_for(bw)),
+            window_for=lambda bw: self.ladder.window(self.level),
             on_level=on_level,
             level_hint=level_hint,
             handler="web-bandwidth",

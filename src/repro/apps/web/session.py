@@ -11,8 +11,13 @@ import hashlib
 from dataclasses import dataclass, field
 
 from repro.apps.base import Application, negotiate
-from repro.apps.web.browser import FIXED_OVERHEAD_SECONDS, LATENCY_GOAL_SECONDS
+from repro.apps.web.browser import (
+    FIXED_OVERHEAD_SECONDS,
+    LATENCY_GOAL_SECONDS,
+    UPGRADE_MARGIN,
+)
 from repro.apps.web.images import KIND_LEVELS, distilled_bytes
+from repro.core.ladder import FidelityLadder
 from repro.core.resources import Resource
 from repro.errors import ProcessInterrupt, ReproError
 
@@ -96,50 +101,36 @@ class BrowsingSession(Application):
         self.stats = SessionStats()
         self.image_level = policy if policy != "adaptive" else 1.0
         self.text_level = 1.0
-        self._image_levels = sorted(KIND_LEVELS["image"], reverse=True)
-        self._text_levels = sorted(KIND_LEVELS["text"], reverse=True)
+        # Both kinds follow one estimate; only the image window is
+        # registered, so the text ladder is consulted for its best rung.
+        self.image_ladder = self._ladder("image")
+        self.text_ladder = self._ladder("text")
 
     # -- adaptation (per kind, from one bandwidth estimate) ------------------
 
-    def _typical_bytes(self, kind, level):
-        """A representative object size for goal arithmetic."""
+    def _ladder(self, kind):
+        """``kind``'s levels, each demanding the bandwidth that fetches a
+        representative object within the single-object goal."""
         representative = 22 * 1024 if kind == "image" else 24 * 1024
-        return distilled_bytes(representative, level, kind=kind)
-
-    def _min_bandwidth(self, kind, level):
         budget = LATENCY_GOAL_SECONDS - FIXED_OVERHEAD_SECONDS
-        return self._typical_bytes(kind, level) / budget
-
-    def best_levels_for(self, bandwidth):
-        if bandwidth is None:
-            return self._image_levels[0], self._text_levels[0]
-        image = next((l for l in self._image_levels
-                      if self._min_bandwidth("image", l) <= bandwidth),
-                     self._image_levels[-1])
-        text = next((l for l in self._text_levels
-                     if self._min_bandwidth("text", l) <= bandwidth),
-                    self._text_levels[-1])
-        return image, text
+        return FidelityLadder(
+            sorted(KIND_LEVELS[kind]),
+            lambda level: distilled_bytes(representative, level,
+                                          kind=kind) / budget,
+            UPGRADE_MARGIN,
+        )
 
     def _register(self, level_hint=None):
         if self.policy != "adaptive":
             return
 
         def on_level(bandwidth):
-            self.image_level, self.text_level = self.best_levels_for(bandwidth)
-
-        def window_for(bandwidth):
-            image, _ = self.best_levels_for(bandwidth)
-            lower = 0.0 if image == self._image_levels[-1] \
-                else self._min_bandwidth("image", image)
-            better = [l for l in self._image_levels if l > image]
-            upper = self._min_bandwidth("image", min(better)) * 1.05 \
-                if better else 1e12
-            return lower, upper
+            self.image_level = self.image_ladder.best(bandwidth)
+            self.text_level = self.text_ladder.best(bandwidth)
 
         negotiate(self.api, self.path, Resource.NETWORK_BANDWIDTH,
-                  window_for, on_level, level_hint=level_hint,
-                  handler="session-bw")
+                  lambda bw: self.image_ladder.window(self.image_level),
+                  on_level, level_hint=level_hint, handler="session-bw")
 
     # -- the session ---------------------------------------------------------------
 

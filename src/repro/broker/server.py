@@ -386,22 +386,33 @@ class Broker:
             resource = body.get("resource", "bandwidth")
             lower = float(body["lower"])
             upper = float(body["upper"])
-        except (TypeError, KeyError, ValueError) as exc:
+        except (AttributeError, TypeError, KeyError, ValueError) as exc:
             raise BrokerError(f"{REQUEST_OP} requires numeric "
                               f"lower/upper bounds") from exc
         if lower > upper:
             raise BrokerError(f"window [{lower}, {upper}] is inverted")
-        level = self._levels.get(resource)
-        if level is not None and not (lower <= level <= upper):
+        level = self._level_for(session, resource)
+        request_id = None
+        if level is None or lower <= level <= upper:
+            request_id = next(self._request_ids)
+            self._registrations[request_id] = _Registration(
+                request_id, session, resource, lower, upper)
+            session.registrations.add(request_id)
+        self._answer_request(session, request, resource, level, request_id)
+
+    def _level_for(self, session, resource):
+        """Hook: the level a new window is checked against (None = none
+        known yet): here the last one reported for ``resource``."""
+        return self._levels.get(resource)
+
+    def _answer_request(self, session, request, resource, level, request_id):
+        """Hook: reply to a window request; ``request_id`` is None when
+        ``level`` lay outside the window and nothing was registered."""
+        if request_id is None:
             # Mirrors the viceroy's ToleranceError: the caller learns the
             # available level and re-registers around a fitting fidelity.
             raise BrokerError(f"resource {resource!r} outside window; "
                               f"available={level}")
-        request_id = next(self._request_ids)
-        registration = _Registration(request_id, session, resource,
-                                     lower, upper)
-        self._registrations[request_id] = registration
-        session.registrations.add(request_id)
         self._respond(session, request, body={"request_id": request_id})
 
     def _cancel(self, session, request):
@@ -423,18 +434,28 @@ class Broker:
             raise BrokerError(f"{REPORT_OP} requires a numeric "
                               f"'level'") from exc
         self._levels[resource] = level
-        violated = [r for r in self._registrations.values()
-                    if r.resource == resource and not r.contains(level)]
-        for registration in violated:
-            # One-shot, exactly like the viceroy: drop, then notify the
-            # owning connection.
+        upcalls = self._recheck(resource, lambda owner: level)
+        self._respond(session, request,
+                      body={"resource": resource, "level": level,
+                            "upcalls": upcalls})
+
+    def _recheck(self, resource, level_of):
+        """Drop every window on ``resource`` that ``level_of(owner)``
+        violates, then upcall its owner (one-shot, exactly like the
+        viceroy); returns the number of upcalls pushed."""
+        violated = []
+        for registration in self._registrations.values():
+            if registration.resource != resource:
+                continue
+            level = level_of(registration.session)
+            if level is not None and not registration.contains(level):
+                violated.append((registration, level))
+        for registration, level in violated:
             del self._registrations[registration.request_id]
             registration.session.registrations.discard(
                 registration.request_id)
             self._push_upcall(registration, level)
-        self._respond(session, request,
-                      body={"resource": resource, "level": level,
-                            "upcalls": len(violated)})
+        return len(violated)
 
     def _push_upcall(self, registration, level):
         owner = registration.session

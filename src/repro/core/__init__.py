@@ -10,6 +10,8 @@ operations (``tsop``).
 - :class:`Warden` — base class for type-specific components.
 - :class:`OdysseyAPI` — the per-application system-call surface.
 - :class:`UpcallDispatcher` — exactly-once, in-order notification delivery.
+- :class:`FidelityLadder` — best fidelity for an estimate, and the window
+  of tolerance around it.
 - :mod:`repro.core.policies` — Odyssey's centralized estimation plus the
   two §6.2.3 baselines (laissez-faire, blind-optimism).
 - :mod:`repro.core.monitors` — the Fig. 3(c) generic resources beyond
@@ -19,6 +21,7 @@ operations (``tsop``).
 from repro.core.api import OdysseyAPI
 from repro.core.dynsets import DynamicSet
 from repro.core.interceptor import Interceptor, LocalFS
+from repro.core.ladder import NO_UPPER, FidelityLadder
 from repro.core.monitors import (
     BatteryMonitor,
     CpuMonitor,
@@ -43,10 +46,12 @@ __all__ = [
     "CpuMonitor",
     "DiskCacheMonitor",
     "DynamicSet",
+    "FidelityLadder",
     "Interceptor",
     "LaissezFairePolicy",
     "LocalFS",
     "MoneyMonitor",
+    "NO_UPPER",
     "Namespace",
     "OdysseyAPI",
     "OdysseyPolicy",

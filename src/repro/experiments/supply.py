@@ -13,6 +13,7 @@ from repro import telemetry
 from repro.apps.base import negotiate
 from repro.apps.bitstream import build_bitstream
 from repro.core.api import OdysseyAPI
+from repro.core.ladder import NO_UPPER
 from repro.core.resources import Resource
 from repro.estimation.agility import detection_delay, settling_time, tracking_error
 from repro.experiments.harness import DEFAULT_TRIALS, ExperimentWorld
@@ -99,7 +100,7 @@ def _register_tracker(world, path, factor=TRACK_WINDOW_FACTOR):
 
     def window_for(level):
         if level is None or level <= 0:
-            return (0.0, float("inf"))
+            return (0.0, NO_UPPER)
         return (level / factor, level * factor)
 
     def handler(upcall):

@@ -14,6 +14,7 @@ thousands of them stay cheap to aggregate across shards.
 """
 
 from repro.apps.base import Application, negotiate
+from repro.core.ladder import FidelityLadder
 from repro.core.resources import Resource
 from repro.errors import OdysseyError, ProcessInterrupt, RpcError
 
@@ -28,12 +29,12 @@ DEFAULT_PERIOD = 4.0
 #: full chunk; the lowest level's tolerance window is open at the bottom so
 #: a client can always register, however bad the link.
 FIDELITY_LEVELS = (0.125, 0.25, 0.5, 1.0)
-#: Hysteresis guards on the tolerance window.  A level's window reaches a
-#: little below its own demand and a little above the next level's, so an
+#: Hysteresis on the tolerance window.  A level's window reaches a little
+#: below its own demand and a little above the next level's, so an
 #: estimate wobbling around a ladder boundary does not generate an upcall
 #: (and a re-registration) per wobble.
-LOWER_GUARD = 0.8
-UPPER_GUARD = 1.3
+DOWNGRADE_GUARD = 0.8
+UPGRADE_MARGIN = 1.3
 
 
 class FleetClient(Application):
@@ -46,7 +47,8 @@ class FleetClient(Application):
         self.path = path
         self.chunk_bytes = chunk_bytes
         self.period = period
-        self.levels = tuple(sorted(levels))
+        self.ladder = FidelityLadder(sorted(levels), self.demand,
+                                     UPGRADE_MARGIN, DOWNGRADE_GUARD)
         self.measure_from = measure_from
         #: Issue a ``save-mark`` write every N chunk cycles (0 = never).
         #: Chaos fleets turn this on so disconnected periods exercise the
@@ -76,23 +78,6 @@ class FleetClient(Application):
         """Bandwidth (bytes/s) this client consumes at ``fidelity``."""
         return fidelity * self.chunk_bytes / self.period
 
-    def best_level_for(self, bandwidth):
-        """Highest sustainable fidelity given ``bandwidth`` (None = no
-        estimate yet: be optimistic, as the paper's applications are)."""
-        if bandwidth is None:
-            return self.levels[-1]
-        for level in reversed(self.levels):
-            if self.demand(level) <= bandwidth:
-                return level
-        return self.levels[0]
-
-    def _window_for_level(self, level):
-        index = self.levels.index(level)
-        lower = 0.0 if index == 0 else self.demand(level) * LOWER_GUARD
-        upper = 1e12 if level == self.levels[-1] \
-            else self.demand(self.levels[index + 1]) * UPPER_GUARD
-        return lower, upper
-
     # -- negotiation -----------------------------------------------------------
 
     def _set_fidelity(self, fidelity):
@@ -103,9 +88,8 @@ class FleetClient(Application):
     def _register(self, level_hint=None):
         negotiate(
             self.api, self.path, Resource.NETWORK_BANDWIDTH,
-            window_for=lambda bw: self._window_for_level(
-                self.best_level_for(bw)),
-            on_level=lambda bw: self._set_fidelity(self.best_level_for(bw)),
+            window_for=lambda bw: self.ladder.window(self.fidelity),
+            on_level=lambda bw: self._set_fidelity(self.ladder.best(bw)),
             level_hint=level_hint,
             handler="fleet-bw",
         )
@@ -123,7 +107,7 @@ class FleetClient(Application):
         self._pending_level = upcall.level
         self._needs_register = True
         if upcall.level is not None:
-            self._set_fidelity(self.best_level_for(upcall.level))
+            self._set_fidelity(self.ladder.best(upcall.level))
 
     # -- main loop -------------------------------------------------------------
 

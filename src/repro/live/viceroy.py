@@ -32,7 +32,7 @@ The bulk-transfer half of the live stack (``__open__`` +
 """
 
 from repro import telemetry
-from repro.broker.server import Broker, _Registration
+from repro.broker.server import Broker
 from repro.errors import BrokerError
 from repro.estimation.share import ClientShares
 from repro.live.bulk import BulkServerMixin
@@ -203,22 +203,16 @@ class LiveBroker(BulkServerMixin, Broker):
 
     # -- the viceroy RPC surface ----------------------------------------------
 
-    def _request(self, session, request):
-        body = request.body or {}
-        resource = (body.get("resource", BANDWIDTH_RESOURCE)
-                    if isinstance(body, dict) else BANDWIDTH_RESOURCE)
+    def _level_for(self, session, resource):
         if resource != BANDWIDTH_RESOURCE:
-            return super()._request(session, request)
-        try:
-            lower = float(body["lower"])
-            upper = float(body["upper"])
-        except (TypeError, KeyError, ValueError) as exc:
-            raise BrokerError("__request__ requires numeric "
-                              "lower/upper bounds") from exc
-        if lower > upper:
-            raise BrokerError(f"window [{lower}, {upper}] is inverted")
-        level = self.viceroy.availability(session.name)
-        if level is not None and not (lower <= level <= upper):
+            return super()._level_for(session, resource)
+        return self.viceroy.availability(session.name)
+
+    def _answer_request(self, session, request, resource, level, request_id):
+        if resource != BANDWIDTH_RESOURCE:
+            return super()._answer_request(session, request, resource,
+                                           level, request_id)
+        if request_id is None:
             # The live twin of ToleranceError: no registration, and the
             # caller learns the available level to re-request around.  A
             # structured reply (not an error) so adaptive clients can
@@ -226,17 +220,10 @@ class LiveBroker(BulkServerMixin, Broker):
             rec = telemetry.RECORDER
             if rec.enabled:
                 rec.count("live.tolerance_rejections")
-            self._respond(session, request,
-                          body={"request_id": None, "rejected": True,
-                                "available": level})
-            return
-        request_id = next(self._request_ids)
-        registration = _Registration(request_id, session, resource,
-                                     lower, upper)
-        self._registrations[request_id] = registration
-        session.registrations.add(request_id)
-        self._respond(session, request,
-                      body={"request_id": request_id, "available": level})
+            body = {"request_id": None, "rejected": True, "available": level}
+        else:
+            body = {"request_id": request_id, "available": level}
+        self._respond(session, request, body=body)
 
     def _report(self, session, request):
         body = request.body or {}
@@ -258,32 +245,12 @@ class LiveBroker(BulkServerMixin, Broker):
         if rec.enabled:
             rec.count("live.reports", kind=body.get("kind"),
                       client=session.name)
-        return level, self._recheck_bandwidth()
-
-    def _recheck_bandwidth(self):
-        """Re-check every bandwidth window against its owner's availability.
-
-        One client's sample moves the shared total, and with it *every*
-        client's split — exactly why the sim viceroy's
-        ``recheck_bandwidth`` scans all bandwidth registrations.  Violated
-        windows are dropped (one-shot) and upcalled with the level that
-        broke them; the count of upcalls pushed is returned.
-        """
-        violated = []
-        for registration in self._registrations.values():
-            if registration.resource != BANDWIDTH_RESOURCE:
-                continue
-            level = self.viceroy.availability(registration.session.name)
-            if level is None:
-                continue
-            if not registration.contains(level):
-                violated.append((registration, level))
-        for registration, level in violated:
-            del self._registrations[registration.request_id]
-            registration.session.registrations.discard(
-                registration.request_id)
-            self._push_upcall(registration, level)
-        return len(violated)
+        # One client's sample moves the shared total, and with it *every*
+        # client's split — so every bandwidth window is rechecked against
+        # its own owner's availability.
+        return level, self._recheck(
+            BANDWIDTH_RESOURCE,
+            lambda owner: self.viceroy.availability(owner.name))
 
     def describe(self):
         snapshot = super().describe()

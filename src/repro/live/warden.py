@@ -35,6 +35,7 @@ from repro.broker.client import BrokerClient
 from repro.broker.server import REPORT_OP, REQUEST_OP
 from repro.connectivity import AsyncHeartbeatProber
 from repro.connectivity.state import ConnState
+from repro.core.ladder import FidelityLadder
 from repro.core.warden import WardenCache
 from repro.errors import (
     BrokerError,
@@ -42,13 +43,8 @@ from repro.errors import (
     RpcTimeout,
     TransportError,
 )
+from repro.fleet.client import DOWNGRADE_GUARD, UPGRADE_MARGIN
 from repro.live.bulk import BulkReceiver
-
-#: Fleet-client hysteresis guards, reused verbatim: a level's window digs
-#: a little below its own demand and reaches a little past the next
-#: level's, so a wobbling estimate does not upcall per wobble.
-LOWER_GUARD = 0.8
-UPPER_GUARD = 1.3
 
 #: Defaults sized for a demo that must adapt within seconds: small chunks
 #: on a short period keep per-window throughput samples frequent.
@@ -120,6 +116,8 @@ class LiveWarden:
         self.window_bytes = window_bytes
         self.fragment_bytes = fragment_bytes
         self.probe_interval = probe_interval
+        self.ladder = FidelityLadder(self.profile.levels, self.demand,
+                                     UPGRADE_MARGIN, DOWNGRADE_GUARD)
         self.client = BrokerClient(host, port, name, clock=clock)
         self.clock = self.client.clock
         self.receiver = BulkReceiver(self.client)
@@ -144,29 +142,11 @@ class LiveWarden:
         self._pending_level = None
         self._log_fidelity(self.fidelity)
 
-    # -- ladder arithmetic (the fleet client's, on profile fractions) --------
+    # -- the fleet client's ladder, on profile fractions ---------------------
 
     def demand(self, fidelity):
         """Bandwidth (bytes/s) one chunk cadence consumes at ``fidelity``."""
         return fidelity * self.chunk_bytes / self.period
-
-    def best_level_for(self, bandwidth):
-        """Highest sustainable rung (optimistic when no estimate yet)."""
-        levels = self.profile.levels
-        if bandwidth is None:
-            return levels[-1]
-        for level in reversed(levels):
-            if self.demand(level) <= bandwidth:
-                return level
-        return levels[0]
-
-    def window_for_level(self, level):
-        levels = self.profile.levels
-        index = levels.index(level)
-        lower = 0.0 if index == 0 else self.demand(level) * LOWER_GUARD
-        upper = 1e12 if level == levels[-1] \
-            else self.demand(levels[index + 1]) * UPPER_GUARD
-        return lower, upper
 
     def _log_fidelity(self, level):
         self.fidelity = level
@@ -214,9 +194,9 @@ class LiveWarden:
         re-anchors on the broker's reported availability; each retry can
         only move down a finite ladder, so the loop terminates.
         """
-        level = self.best_level_for(level_hint)
+        level = self.ladder.best(level_hint)
         for _ in range(len(self.profile.levels) + 1):
-            lower, upper = self.window_for_level(level)
+            lower, upper = self.ladder.window(level)
             reply = await self.client.call(REQUEST_OP, {
                 "resource": "bandwidth", "lower": lower, "upper": upper,
             })
@@ -225,7 +205,7 @@ class LiveWarden:
                 self._set_fidelity(level)
                 return
             self.rejections += 1
-            level = self.best_level_for(reply["available"])
+            level = self.ladder.best(reply["available"])
         raise BrokerError(f"{self.name}: could not place a window on the "
                           f"ladder {self.profile.levels}")
 
@@ -237,7 +217,7 @@ class LiveWarden:
         self._needs_register = True
         self.request_id = None  # one-shot: the broker already dropped it
         if level is not None:
-            self._set_fidelity(self.best_level_for(level))
+            self._set_fidelity(self.ladder.best(level))
 
     def _on_connectivity(self, transition):
         self.connectivity_log.append(transition)

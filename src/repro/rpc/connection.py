@@ -549,6 +549,10 @@ class RpcConnection:
             raise RpcTimeout(
                 f"{self.connection_id}: {what} timed out after {timeout} s"
             )
+        if not event.ok:
+            # Failed in the deadline's own instant: the AnyOf fired on the
+            # deadline and swallowed this failure, which must still raise.
+            raise event.value
         return event.value
 
     # -- retry-with-backoff ----------------------------------------------------

@@ -1,5 +1,7 @@
 """The chaos harness: storms, the auditor (including its teeth), the drill."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.chaos import (
@@ -312,6 +314,17 @@ def test_churned_shard_accounts_for_departures():
     assert stats.violations == ()
     assert stats.churn_left > 0
     assert stats.churn_rejoined == stats.churn_left
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_drill_on_a_probe_deadline_runs_to_completion(seed):
+    """At 0.45·d the drill fails in-flight RPCs in the same instant the
+    prober's ``__ping__`` deadline fires; the shard must survive it.
+    (Completion only: lost deferred writes are audited elsewhere.)"""
+    profile = replace(standard_profile("full-storm", DURATION), drill_at=13.5)
+    result = run_fleet_shard(8, DURATION, family="robustness", shard=0,
+                             seed=seed, chaos=profile)
+    assert result.chaos.drill is not None
 
 
 def test_plain_shard_carries_no_chaos():

@@ -138,21 +138,21 @@ def client():
 
 def test_ladder_picks_highest_sustainable_level(client):
     full = client.demand(1.0)
-    assert client.best_level_for(None) == 1.0  # optimistic before data
-    assert client.best_level_for(full * 2) == 1.0
-    assert client.best_level_for(full * 0.6) == 0.5
-    assert client.best_level_for(0.0) == FIDELITY_LEVELS[0]
+    assert client.ladder.best(None) == 1.0  # optimistic before data
+    assert client.ladder.best(full * 2) == 1.0
+    assert client.ladder.best(full * 0.6) == 0.5
+    assert client.ladder.best(0.0) == FIDELITY_LEVELS[0]
 
 
 def test_lowest_window_is_open_at_the_bottom(client):
-    lower, _ = client._window_for_level(FIDELITY_LEVELS[0])
+    lower, _ = client.ladder.window(FIDELITY_LEVELS[0])
     assert lower == 0.0  # always registrable, however bad the link
 
 
 def test_windows_carry_hysteresis(client):
-    lower, upper = client._window_for_level(0.5)
-    assert lower < client.demand(0.5)  # guard below own demand
-    assert upper > client.demand(1.0)  # guard above the next level
+    lower, upper = client.ladder.window(0.5)
+    assert lower == client.demand(0.5) * 0.8  # guard below own demand
+    assert upper == client.demand(1.0) * 1.3  # guard above the next level
 
 
 def test_mean_fidelity_is_time_weighted(client):

@@ -250,6 +250,8 @@ def test_malformed_window_and_plain_level_reports_keep_base_semantics():
         try:
             with pytest.raises(RemoteCallError, match="lower/upper"):
                 await client.call(REQUEST_OP, {"resource": "bandwidth"})
+            with pytest.raises(RemoteCallError, match="lower/upper"):
+                await client.call(REQUEST_OP, [0.0, 1.0])  # not a dict
             with pytest.raises(RemoteCallError, match="inverted"):
                 await client.call(REQUEST_OP, {
                     "resource": "bandwidth", "lower": 10.0, "upper": 1.0,

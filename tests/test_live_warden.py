@@ -26,7 +26,7 @@ def make_warden(broker, name, **kwargs):
     return LiveWarden(host, port, name, **kwargs)
 
 
-# -- profiles and ladder arithmetic (no sockets) ------------------------------
+# -- profiles and demand (no sockets; the ladder is in test_core_ladder) -----
 
 
 def test_profiles_mirror_the_app_fidelity_tables():
@@ -45,41 +45,13 @@ def test_empty_profile_is_rejected():
 
 
 def test_demand_scales_with_fidelity():
-    warden = LiveWarden.__new__(LiveWarden)
-    warden.chunk_bytes = 16 * 1024
-    warden.period = 0.25
-    warden.profile = video_profile()
+    warden = LiveWarden("127.0.0.1", 0, "w", chunk_bytes=16 * 1024,
+                        period=0.25)
     assert warden.demand(1.0) == pytest.approx(65_536)
     assert warden.demand(0.5) == pytest.approx(32_768)
     assert warden.demand(0.01) == pytest.approx(655.36)
-
-
-def test_best_level_for_walks_the_ladder():
-    warden = LiveWarden.__new__(LiveWarden)
-    warden.chunk_bytes = 16 * 1024
-    warden.period = 0.25
-    warden.profile = video_profile()
-    assert warden.best_level_for(None) == 1.0  # optimistic
-    assert warden.best_level_for(100_000) == 1.0
-    assert warden.best_level_for(40_000) == 0.5
-    assert warden.best_level_for(1_000) == 0.01
-    assert warden.best_level_for(0.0) == 0.01  # floor rung, always
-
-
-def test_windows_carry_the_fleet_guards():
-    warden = LiveWarden.__new__(LiveWarden)
-    warden.chunk_bytes = 16 * 1024
-    warden.period = 0.25
-    warden.profile = video_profile()
-    lower, upper = warden.window_for_level(0.01)
-    assert lower == 0.0  # bottom rung never violates downward
-    assert upper == pytest.approx(32_768 * 1.3)
-    lower, upper = warden.window_for_level(1.0)
-    assert lower == pytest.approx(65_536 * 0.8)
-    assert upper == 1e12  # top rung never violates upward
-    lower, upper = warden.window_for_level(0.5)
-    assert lower == pytest.approx(32_768 * 0.8)
-    assert upper == pytest.approx(65_536 * 1.3)
+    assert warden.ladder.demands == tuple(
+        warden.demand(level) for level in video_profile().levels)
 
 
 # -- the full loop against a live broker --------------------------------------

@@ -126,6 +126,41 @@ def test_late_reply_after_timeout_is_dropped_not_fatal(world):
     assert connection.late_replies == 1
 
 
+@pytest.mark.parametrize("exchange", ["call", "window"])
+def test_failure_in_the_deadline_instant_raises_it(world, exchange):
+    """An exchange failed in the very instant its deadline fires raises
+    the failure; it is never handed back as the reply."""
+    sim, service, connection = world
+    service.set_outage(10.0)  # nothing answers: only the deadline or a crash
+
+    def client():
+        try:
+            if exchange == "call":
+                yield from connection.call("ping", timeout=1.0)
+            else:
+                yield from connection.fetch_ticket(1, 1024, timeout=1.0)
+        except RpcTimeout:
+            return "timeout"
+        except RpcError as exc:
+            return str(exc)
+        return "reply"
+
+    def crash():
+        waiter = next(iter(connection._pending.values()))
+        getattr(waiter, "event", waiter).fail(RpcError("crashed"))
+
+    def saboteur():
+        # Armed after the client's deadline, so at t=1.0 the deadline is
+        # processed first and the failure second (the crash drill's race).
+        yield sim.timeout(0.5)
+        sim.call_at(1.0, crash)
+
+    process = sim.process(client())
+    sim.process(saboteur())
+    sim.run(until=20.0)
+    assert process.value == "crashed"
+
+
 def test_retry_deadline_validated():
     from repro.rpc.connection import RetryPolicy
 

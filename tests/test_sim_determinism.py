@@ -17,9 +17,21 @@ import hashlib
 
 import pytest
 
+from repro.apps.files import DocumentReader, build_files
+from repro.apps.prefetch import FieldWorker, build_maps, walk_path
+from repro.apps.web.images import ImageStore
+from repro.apps.web.session import BrowsingSession, synthetic_site
+from repro.apps.web.warden import build_web
+from repro.core.api import OdysseyAPI
+from repro.core.ladder import FidelityLadder
+from repro.core.viceroy import Viceroy
 from repro.experiments.demand import run_demand_trial
 from repro.experiments.supply import run_supply_trial
+from repro.experiments.video import run_video_trial
+from repro.experiments.web import run_web_trial
+from repro.fleet import run_fleet
 from repro.net.link import LinkStats
+from repro.net.network import Network
 from repro.net.packet import Packet
 from repro.rpc.connection import RetryPolicy
 from repro.rpc.logs import RoundTripEntry, ThroughputEntry
@@ -37,6 +49,7 @@ from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 from repro.sim.queues import Semaphore, Store
+from repro.trace.waveforms import LOW_BANDWIDTH, constant, step_down
 
 GOLDEN_FIG8_STEP_UP_SEED0 = (
     "42409d4ba6fa78d7992e9a394772431e91bb5c0011fe7328005cdaaa4aafbfa7"
@@ -69,6 +82,112 @@ def test_fig9_demand_series_match_golden_fingerprints():
     trial = run_demand_trial(0.45, seed=0)
     assert fingerprint(trial.total_series) == GOLDEN_FIG9_TOTAL_SEED0
     assert fingerprint(trial.second_series) == GOLDEN_FIG9_SECOND_SEED0
+
+
+def digest(rows):
+    """sha256 over logged rows, floats rounded as :func:`fingerprint` does."""
+    rounded = [tuple(round(v, 9) if isinstance(v, float) else v for v in row)
+               for row in rows]
+    return hashlib.sha256(repr(rounded).encode()).hexdigest()
+
+
+# The fidelity-ladder consumers: each app's seeded log pins every rung it
+# picked and every window it registered, through the upcalls they caused.
+GOLDEN_FIG10_STEP_UP_SEED0 = (
+    "df7f0d605c6b4ed88abe9eeb1297dee498e1aed3906115bdee47a58adce24530"
+)
+GOLDEN_FIG10_IMPULSE_DOWN_SEED0 = (
+    "2539ac427019a9fe6a7536869899f41cb32463ab218c0ad4ee438e86f9137e30"
+)
+GOLDEN_FIG11_STEP_DOWN_SEED0 = (
+    "822276c4ff829a71b5e2b837f7799466a829b81ecc8b54ed7290bda97785ca80"
+)
+GOLDEN_FIG11_IMPULSE_UP_SEED0 = (
+    "9f7164e748508cb10d7ab41eeb97e2cfbd67908bbdb8454356899d7afdc3f0dc"
+)
+GOLDEN_READER_OPENS = (
+    "c261dc0844dbdaa042b5ce55039cb122998fd75f9775ac8c6e80fadc123a34e4"
+)
+GOLDEN_WORKER_VIEWS = (
+    "50aecdfaf890873de85a2628486f1efa2a22bef82da39eb484b1bd844ca28a87"
+)
+GOLDEN_SESSION_LOADS = (
+    "ce374d6d36e9d1b7c041d773d2b165374bfa43e87bf9fae901bf43fcbad1dd2a"
+)
+GOLDEN_FLEET_64X4 = (
+    "e99aa00448d4a7dfc8483f329365bb99cbf000f9ccb184d7b4c37621a7a2dbe4"
+)
+
+
+def video_digest(waveform):
+    stats = run_video_trial(waveform, "adaptive", seed=0).stats
+    return digest(stats.frame_log + stats.switches)
+
+
+def web_digest(waveform):
+    return digest(run_web_trial(waveform, "adaptive", seed=0).stats.fetches)
+
+
+def reader_digest():
+    sim = Simulator()
+    network = Network(sim, constant(LOW_BANDWIDTH, duration=3600))
+    viceroy = Viceroy(sim, network)
+    _, server = build_files(sim, viceroy, network, update_period=3.0)
+    docs = [server.create(f"doc{i}") for i in range(3)]
+    reader = DocumentReader(sim, OdysseyAPI(viceroy, "reader"), "reader",
+                            "/odyssey/files", docs, server, period_seconds=0.5)
+    reader.start()
+    sim.run(until=60.0)
+    return digest(reader.stats.opens)
+
+
+def worker_digest():
+    sim = Simulator()
+    network = Network(sim, step_down(duration=120))
+    viceroy = Viceroy(sim, network)
+    build_maps(sim, viceroy, network)
+    worker = FieldWorker(sim, OdysseyAPI(viceroy, "field-worker"),
+                         "field-worker", "/odyssey/maps", walk_path(100),
+                         dwell_seconds=1.0)
+    worker.start()
+    sim.run(until=110.0)
+    return digest(worker.stats.views)
+
+
+def session_digest():
+    sim = Simulator()
+    network = Network(sim, step_down().shifted(5.0))
+    viceroy = Viceroy(sim, network)
+    store = ImageStore()
+    site = synthetic_site(store, pages=25)
+    build_web(sim, viceroy, network, store)
+    session = BrowsingSession(sim, OdysseyAPI(viceroy, "browser"), "browser",
+                              "/odyssey/web", site, store, think_seconds=2.0)
+    session.start()
+    sim.run(until=120.0)
+    return digest(session.stats.loads)
+
+
+def test_fig10_video_logs_match_golden_fingerprints():
+    assert video_digest("step-up") == GOLDEN_FIG10_STEP_UP_SEED0
+    assert video_digest("impulse-down") == GOLDEN_FIG10_IMPULSE_DOWN_SEED0
+
+
+def test_fig11_browser_fetches_match_golden_fingerprints():
+    assert web_digest("step-down") == GOLDEN_FIG11_STEP_DOWN_SEED0
+    assert web_digest("impulse-up") == GOLDEN_FIG11_IMPULSE_UP_SEED0
+
+
+def test_app_logs_match_golden_fingerprints():
+    assert reader_digest() == GOLDEN_READER_OPENS
+    assert worker_digest() == GOLDEN_WORKER_VIEWS
+    assert session_digest() == GOLDEN_SESSION_LOADS
+
+
+def test_fleet_fingerprint_matches_golden():
+    report = run_fleet(clients=64, shards=4, duration=8.0, prime=4.0,
+                       jobs=1, cache=None)
+    assert report.fingerprint() == GOLDEN_FLEET_64X4
 
 
 def test_same_seed_same_fingerprint_within_one_process():
@@ -113,6 +232,7 @@ def _hot_path_instances():
     yield RoundTripEntry(at=1.0, seconds=0.1, request_bytes=64,
                          response_bytes=64)
     yield ThroughputEntry(at=1.0, started=0.5, nbytes=1024, seconds=0.5)
+    yield FidelityLadder((0.5, 1.0), lambda rung: rung, upper_margin=1.1)
 
 
 @pytest.mark.parametrize(
