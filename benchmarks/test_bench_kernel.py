@@ -4,11 +4,13 @@ Not a paper artifact — these guard the simulator's own performance so the
 figure benchmarks stay fast, and demonstrate its capacity.
 """
 
+from repro.net.link import SimplexLink
 from repro.net.network import Network
+from repro.net.packet import HEADER_BYTES, Packet
 from repro.rpc.connection import RpcConnection, RpcService
 from repro.rpc.messages import ServerReply
 from repro.sim.kernel import Simulator
-from repro.trace.waveforms import HIGH_BANDWIDTH, constant
+from repro.trace.waveforms import HIGH_BANDWIDTH, constant, step_down
 
 
 def test_event_loop_throughput(benchmark):
@@ -41,6 +43,37 @@ def test_process_switch_throughput(benchmark):
         return sim.now
 
     benchmark(run_processes)
+
+
+def test_link_waveform_throughput(benchmark):
+    """Fragment trains through one link over the step-down waveform.
+
+    A 16-fragment train every 0.3 s fits the high half and backs up in the
+    low half, so the run covers idle and busy sends, the cursor's moves
+    into the low segment and past the trace's end, and the fallback
+    integral for fragments straddling either boundary.
+    """
+    trace = step_down()
+
+    def run_trains():
+        sim = Simulator()
+        delivered = [0]
+
+        def deliver(packet):
+            delivered[0] += 1
+
+        link = SimplexLink(sim, trace, "bench", deliver=deliver)
+
+        def train():
+            for _ in range(16):
+                link.send(Packet("server", "client", "p", HEADER_BYTES + 2048))
+
+        for i in range(200):
+            sim.call_at(i * 0.3, train)
+        sim.run()
+        return delivered[0]
+
+    assert benchmark(run_trains) == 3200
 
 
 def test_rpc_fetch_throughput(benchmark):

@@ -129,7 +129,7 @@ class RpcService:
         self.port = port
         self._handlers = {}
         self._bulk_sources = {}
-        self._transfer_ids = itertools.count(1)
+        self._transfers_issued = 0  # transfer ids run 1.._transfers_issued
         self._push_buffers = {}
         self._handlers[PING_OP] = lambda body: ServerReply(
             body={"pong": True}, body_bytes=PING_REPLY_BYTES
@@ -211,7 +211,8 @@ class RpcService:
 
     def make_bulk(self, nbytes, meta=None):
         """Create a :class:`BulkSource` clients can fetch from."""
-        source = BulkSource(next(self._transfer_ids), int(nbytes), meta)
+        self._transfers_issued += 1
+        source = BulkSource(self._transfers_issued, int(nbytes), meta)
         self._bulk_sources[source.transfer_id] = source
         return source
 
@@ -288,13 +289,19 @@ class RpcService:
 
     def _serve_window(self, request):
         source = self._bulk_sources.get(request.transfer_id)
-        if source is None:
+        if source is not None:
+            end = source.nbytes
+        elif 0 < request.transfer_id <= self._transfers_issued:
+            # Retired: every byte was sent once, but some were lost on the
+            # way and the client resumed.  Its window is already clipped to
+            # the transfer, so the request's own end is the transfer's.
+            end = request.offset + request.window_bytes
+        else:
             raise RpcError(
                 f"service {self.port!r}: window request for unknown transfer "
                 f"{request.transfer_id}"
             )
-        remaining_total = source.nbytes - request.offset
-        window = min(request.window_bytes, remaining_total)
+        window = min(request.window_bytes, end - request.offset)
         if window <= 0:
             raise RpcError(
                 f"service {self.port!r}: empty window at offset {request.offset}"
@@ -304,7 +311,7 @@ class RpcService:
         while sent < window:
             nbytes = min(fragment_bytes, window - sent)
             last_in_window = sent + nbytes >= window
-            last_in_transfer = request.offset + sent + nbytes >= source.nbytes
+            last_in_transfer = request.offset + sent + nbytes >= end
             fragment = Fragment(
                 connection_id=request.connection_id,
                 seq=request.seq,
@@ -324,9 +331,10 @@ class RpcService:
                 )
             )
             sent += nbytes
-        source.consumed = max(source.consumed, request.offset + sent)
-        if source.consumed >= source.nbytes:
-            del self._bulk_sources[request.transfer_id]
+        if source is not None:
+            source.consumed = max(source.consumed, request.offset + sent)
+            if source.consumed >= end:
+                del self._bulk_sources[request.transfer_id]
 
     def _serve_push(self, push):
         key = (push.connection_id, push.transfer_id)

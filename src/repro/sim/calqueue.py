@@ -238,19 +238,24 @@ class CalendarQueue:
 
         Order is carried entirely by the item keys, so items may be
         redistributed in any order — the entry sort restores the exact
-        global order.
+        global order.  The cursor's bucket is the exception: a push from
+        inside a callback can resize the ring while the kernel drains that
+        bucket, so it moves over as the same list, sortedness and all —
+        a copy would run its remaining items twice.
         """
+        cur, inv = self._cur, self._inv
+        current = self._buckets[cur & self._mask]
         ring = []
         for bucket in self._buckets:
-            ring.extend(bucket)
+            if bucket is not current:
+                ring.extend(bucket)
         overflow = self._over
         self._buckets = [[] for _ in range(nbuckets)]
         self._nb = nbuckets
         self._mask = nbuckets - 1
+        self._buckets[cur & self._mask] = current
         self._count = 0
         self._over = []
-        self._sorted = False
-        cur, inv = self._cur, self._inv
         for item in ring:
             idx = int(item[3] * inv)
             if idx < cur:

@@ -17,6 +17,7 @@ seconds.
 """
 
 import bisect
+import math
 from dataclasses import dataclass
 
 from repro.errors import ReproError
@@ -88,6 +89,22 @@ class ReplayTrace:
     def latency_at(self, t):
         """One-way latency (s) in effect at time ``t``."""
         return self.segment_at(t).latency
+
+    def span_at(self, t):
+        """``(start, end, segment)``: the stretch ``[start, end)`` holding ``t``.
+
+        ``segment`` is :meth:`segment_at`'s answer for every time in the
+        stretch, and ``end`` is the same float
+        :func:`~repro.trace.integrate.transmission_finish_time` uses as the
+        segment's end.  From the trace's end on, the final segment holds
+        forever: the stretch is ``(duration, inf, last)``.  For ``t < 0``
+        the stretch is the first segment's, which does not contain ``t``.
+        """
+        if t >= self.duration:
+            return self.duration, math.inf, self.segments[-1]
+        i = self._segment_index(t)
+        start = self._starts[i]
+        return start, start + self.segments[i].duration, self.segments[i]
 
     @property
     def transitions(self):

@@ -5,7 +5,11 @@ import pytest
 
 from repro.core.resources import Resource
 from repro.errors import OdysseyError, RpcTimeout
-from repro.experiments.robustness import RobustWarden, run_robustness_trial
+from repro.experiments.robustness import (
+    RobustWarden,
+    default_fault_plan,
+    run_robustness_trial,
+)
 from repro.faults import Blackout, FaultPlan, ServerStall
 from repro.rpc.connection import RetryPolicy, RpcService
 from repro.rpc.messages import ServerReply
@@ -123,3 +127,29 @@ def test_full_lifecycle_under_faults():
     assert result.teardown_notices == 1
     assert result.registrations >= 2  # initial + post-teardown
     assert result.upcall_failures == 0
+
+
+#: ``(completed, exhausted, timeouts, retries, window_violations,
+#: packets_dropped, fault_events)`` under the default fault plan.  Seeds
+#: 0–6 are the values from before a lost mid-window fragment stopped
+#: crashing the server; seed 7 raised "window request for unknown transfer
+#: 143" then (its loss burst shortened the last window of a transfer the
+#: server had already retired).
+DEFAULT_PLAN_RESULTS = {
+    0: (217, 0, 19, 19, 7, 6, 8),
+    1: (233, 0, 20, 20, 8, 10, 12),
+    2: (284, 0, 16, 16, 3, 17, 19),
+    3: (347, 0, 9, 9, 2, 3, 5),
+    4: (342, 0, 9, 9, 3, 18, 20),
+    5: (168, 2, 24, 22, 4, 1, 3),
+    6: (136, 0, 13, 13, 5, 5, 7),
+    7: (192, 0, 10, 10, 14, 9, 11),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DEFAULT_PLAN_RESULTS))
+def test_default_fault_plan_results_are_pinned(seed):
+    r = run_robustness_trial(seed=seed, faults=default_fault_plan())
+    assert (r.completed, r.exhausted, r.timeouts, r.retries,
+            r.window_violations, r.packets_dropped,
+            r.fault_events) == DEFAULT_PLAN_RESULTS[seed]

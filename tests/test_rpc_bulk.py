@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import RpcError
 from repro.rpc.connection import RpcConnection, RpcService
-from repro.rpc.messages import ServerReply
+from repro.rpc.messages import Fragment, ServerReply
 from repro.trace.waveforms import HIGH_BANDWIDTH
 
 
@@ -101,6 +101,48 @@ def test_bulk_source_freed_after_consumption(sim, connection, service, run_proce
 
     run_process(client())
     assert service._bulk_sources == {}
+
+
+def test_lost_fragment_of_the_final_window_is_served_again(sim, network,
+                                                          connection, service,
+                                                          run_process):
+    """The server retires a source once it has sent every byte; a client
+    that lost a fragment of the last window resumes after what it got."""
+    register_blob(service, 40_000)
+    lost = []
+
+    def drop_once(packet, when):
+        fragment = packet.payload
+        if isinstance(fragment, Fragment) and fragment.offset == 32 * 1024 \
+                and not lost:
+            lost.append(fragment)
+            return True
+        return False
+
+    network.downlink.drop_filter = drop_once
+
+    def client():
+        _, _, nbytes = yield from connection.fetch("get-blob")
+        return nbytes
+
+    assert run_process(client()) == 40_000
+    assert len(lost) == 1
+    # 32 KiB, then the 7 232-byte tail short by one 2 048-byte fragment,
+    # then that fragment's worth again from the retired source.
+    assert [w.nbytes for w in connection.log.throughputs] == [
+        32 * 1024, 40_000 - 32 * 1024 - 2048, 2048]
+    assert service._bulk_sources == {}
+
+
+def test_window_for_a_never_issued_transfer_raises(sim, connection, service):
+    register_blob(service, 10_000)
+
+    def client():
+        yield from connection.fetch_ticket(7, 1000)
+
+    sim.process(client())
+    with pytest.raises(RpcError, match="unknown transfer 7"):
+        sim.run()
 
 
 def test_push_ships_bytes_and_returns_reply(sim, connection, service, run_process):

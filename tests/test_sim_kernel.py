@@ -166,3 +166,23 @@ def test_many_events_deterministic():
         return order
 
     assert run_once() == run_once()
+
+
+@pytest.mark.parametrize("until", [None, 1000.0])
+def test_ring_growth_mid_drain_runs_every_event_once(sim, until):
+    # The first of three same-instant calls schedules far past the
+    # calendar's horizon, enough to grow the ring while the other two still
+    # wait in the bucket being drained; its last call is zero-delay.
+    fired = []
+
+    def flood():
+        fired.append("flood")
+        for i in range(600):
+            sim.call_at(100.0 + i, fired.append, i)
+        sim.call_at(1.0, fired.append, "echo")
+
+    sim.call_at(1.0, flood)
+    sim.call_at(1.0, fired.append, "second")
+    sim.call_at(1.0, fired.append, "third")
+    sim.run(until=until)
+    assert fired == ["flood", "second", "third", "echo", *range(600)]

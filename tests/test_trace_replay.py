@@ -115,3 +115,23 @@ def test_serialize_parse_roundtrip(segments):
 def test_segment_at_consistent_with_bandwidth_at(segments, t):
     trace = ReplayTrace(segments)
     assert trace.bandwidth_at(t) == trace.segment_at(t).bandwidth
+
+
+@settings(max_examples=100, deadline=None)
+@given(segments=segments_strategy, t=st.floats(min_value=0, max_value=500))
+def test_span_at_holds_t_and_agrees_with_segment_at(segments, t):
+    trace = ReplayTrace(segments)
+    start, end, segment = trace.span_at(t)
+    assert start <= t < end
+    assert segment is trace.segment_at(t)
+    # Every time in the stretch sees the same segment, the end does not.
+    assert trace.segment_at(start) is segment
+    if end < trace.duration:
+        assert trace.span_at(end)[0] == end
+
+
+def test_span_at_boundaries_and_tail():
+    trace = ReplayTrace([Segment(1, 100, 0.1), Segment(2, 200, 0.2)])
+    assert trace.span_at(0.0) == (0.0, 1.0, trace.segments[0])
+    assert trace.span_at(1.0) == (1.0, 3.0, trace.segments[1])
+    assert trace.span_at(3.0) == (3.0, float("inf"), trace.segments[1])
