@@ -13,9 +13,10 @@ port and, per connected client:
 - **namespaces** — a client may only register operations under its own
   namespace prefix; registrations elsewhere are rejected;
 - **upcalls** — clients register windows of tolerance on named resources
-  (``__request__``); when a reported level leaves a window the broker
-  drops the registration (one-shot, like the viceroy) and pushes an
-  ``__upcall__`` request to the *owning* connection, which acknowledges it;
+  (``__request__``) in a :class:`~repro.core.windows.WindowRegistry`; when
+  a reported level leaves a window the broker drops it (one-shot, like the
+  viceroy) and pushes an ``__upcall__`` to the *owning* connection, which
+  acknowledges it;
 - **liveness** — every frame refreshes the session's last-seen stamp; a
   reaper task tears down sessions silent past the heartbeat budget, and a
   socket death tears down immediately.  Teardown cancels the client's
@@ -25,8 +26,10 @@ port and, per connected client:
 
 import asyncio
 import itertools
+import math
 
 from repro import telemetry
+from repro.core.windows import WindowRegistry
 from repro.errors import BrokerError, RemoteCallError
 from repro.rpc.clock import MonotonicClock
 from repro.rpc.connection import PING_OP
@@ -57,16 +60,14 @@ REPLY_BODY_BYTES = 64
 class _Session:
     """Per-connection broker state."""
 
-    __slots__ = ("channel", "name", "namespace", "ops", "registrations",
-                 "pending_relays", "pending_upcalls", "last_seen",
-                 "calls", "closed")
+    __slots__ = ("channel", "name", "namespace", "ops", "pending_relays",
+                 "pending_upcalls", "last_seen", "calls", "closed")
 
     def __init__(self, channel, now):
         self.channel = channel
         self.name = None  # set by hello
         self.namespace = None
         self.ops = set()  # operations this client registered
-        self.registrations = set()  # request ids this client owns
         self.pending_relays = {}  # broker seq -> (caller, caller CallRequest)
         self.pending_upcalls = {}  # broker seq -> request id
         self.last_seen = now
@@ -75,22 +76,6 @@ class _Session:
 
     def __repr__(self):
         return f"<Session {self.name or '?'} calls={self.calls}>"
-
-
-class _Registration:
-    """One window of tolerance owned by a connected client."""
-
-    __slots__ = ("request_id", "session", "resource", "lower", "upper")
-
-    def __init__(self, request_id, session, resource, lower, upper):
-        self.request_id = request_id
-        self.session = session
-        self.resource = resource
-        self.lower = lower
-        self.upper = upper
-
-    def contains(self, level):
-        return self.lower <= level <= self.upper
 
 
 class Broker:
@@ -111,9 +96,8 @@ class Broker:
         self._sessions = []  # every live session, named or not
         self._named = {}  # client name -> session
         self._client_ops = {}  # registered op -> owning session
-        self._registrations = {}  # request id -> _Registration
+        self._registry = WindowRegistry()  # owners are sessions
         self._levels = {}  # resource -> last reported level
-        self._request_ids = itertools.count(1)
         self._relay_seq = itertools.count(1)
         # Counters (surfaced by `repro serve` and the loadtest report).
         self.connections_accepted = 0
@@ -168,7 +152,7 @@ class Broker:
             "upcalls_acked": self.upcalls_acked,
             "errors_returned": self.errors_returned,
             "namespace_rejections": self.namespace_rejections,
-            "registrations": len(self._registrations),
+            "registrations": len(self._registry),
             "client_ops": len(self._client_ops),
         }
 
@@ -234,8 +218,7 @@ class Broker:
             del self._named[session.name]
         for op in session.ops:
             self._client_ops.pop(op, None)
-        for request_id in session.registrations:
-            self._registrations.pop(request_id, None)
+        self._registry.drop_owner(session)
         for caller, request in session.pending_relays.values():
             self._respond(caller, request, error=RemoteCallError(
                 "BrokerError", f"operation owner disconnected ({reason})"))
@@ -381,23 +364,15 @@ class Broker:
     # -- windows of tolerance -------------------------------------------------
 
     def _request(self, session, request):
-        body = request.body or {}
-        try:
-            resource = body.get("resource", "bandwidth")
-            lower = float(body["lower"])
-            upper = float(body["upper"])
-        except (AttributeError, TypeError, KeyError, ValueError) as exc:
-            raise BrokerError(f"{REQUEST_OP} requires numeric "
-                              f"lower/upper bounds") from exc
+        resource, lower, upper = _window_body(
+            request, "numeric lower/upper bounds", "lower", "upper")
         if lower > upper:
             raise BrokerError(f"window [{lower}, {upper}] is inverted")
         level = self._level_for(session, resource)
         request_id = None
         if level is None or lower <= level <= upper:
-            request_id = next(self._request_ids)
-            self._registrations[request_id] = _Registration(
-                request_id, session, resource, lower, upper)
-            session.registrations.add(request_id)
+            request_id = self._registry.register(resource, session,
+                                                lower, upper)
         self._answer_request(session, request, resource, level, request_id)
 
     def _level_for(self, session, resource):
@@ -418,21 +393,15 @@ class Broker:
     def _cancel(self, session, request):
         body = request.body or {}
         request_id = body.get("request_id") if isinstance(body, dict) else None
-        registration = self._registrations.get(request_id)
-        if registration is None or registration.session is not session:
+        # ``type``, not isinstance: a bool would look up request 0 or 1.
+        entry = self._registry.get(request_id) if type(request_id) is int else None
+        if entry is None or entry.owner is not session:
             raise BrokerError(f"no registered request {request_id!r}")
-        del self._registrations[request_id]
-        session.registrations.discard(request_id)
+        self._registry.cancel(request_id)
         self._respond(session, request, body={"cancelled": request_id})
 
     def _report(self, session, request):
-        body = request.body or {}
-        try:
-            resource = body.get("resource", "bandwidth")
-            level = float(body["level"])
-        except (TypeError, KeyError, ValueError) as exc:
-            raise BrokerError(f"{REPORT_OP} requires a numeric "
-                              f"'level'") from exc
+        resource, level = _window_body(request, "a numeric 'level'", "level")
         self._levels[resource] = level
         upcalls = self._recheck(resource, lambda owner: level)
         self._respond(session, request,
@@ -440,37 +409,27 @@ class Broker:
                             "upcalls": upcalls})
 
     def _recheck(self, resource, level_of):
-        """Drop every window on ``resource`` that ``level_of(owner)``
-        violates, then upcall its owner (one-shot, exactly like the
-        viceroy); returns the number of upcalls pushed."""
-        violated = []
-        for registration in self._registrations.values():
-            if registration.resource != resource:
-                continue
-            level = level_of(registration.session)
-            if level is not None and not registration.contains(level):
-                violated.append((registration, level))
-        for registration, level in violated:
-            del self._registrations[registration.request_id]
-            registration.session.registrations.discard(
-                registration.request_id)
-            self._push_upcall(registration, level)
+        """Drop each window on ``resource`` that ``level_of(session)``
+        violates and upcall its owner; returns how many were violated."""
+        violated = self._registry.observe(resource, level_of)
+        for entry, level in violated:
+            self._push_upcall(entry, level)
         return len(violated)
 
-    def _push_upcall(self, registration, level):
-        owner = registration.session
+    def _push_upcall(self, entry, level):
+        owner = entry.owner
         if owner.closed:
             return
         seq = next(self._relay_seq)
-        owner.pending_upcalls[seq] = registration.request_id
+        owner.pending_upcalls[seq] = entry.request_id
         self.upcalls_sent += 1
         rec = telemetry.RECORDER
         if rec.enabled:
-            rec.count("broker.upcalls", resource=registration.resource)
+            rec.count("broker.upcalls", resource=entry.resource)
         owner.channel.send(CallRequest(
             connection_id="broker", seq=seq, op=UPCALL_OP,
-            body={"request_id": registration.request_id,
-                  "resource": registration.resource, "level": level},
+            body={"request_id": entry.request_id,
+                  "resource": entry.resource, "level": level},
             body_bytes=REPLY_BODY_BYTES, reply_port="",
         ))
 
@@ -503,3 +462,20 @@ class Broker:
                 rec.count("broker.upcall_acks")
             return
         # A response to nothing we asked: stale after a teardown; ignore.
+
+
+def _window_body(request, wants, *keys):
+    """``(resource, *numbers)`` from a window body.  NaN is refused: no level
+    satisfies a NaN bound, and a NaN level rejects every later window."""
+    body = request.body or {}
+    try:
+        resource = body.get("resource", "bandwidth")
+        numbers = [float(body[key]) for key in keys]
+    except (AttributeError, TypeError, KeyError, ValueError) as exc:
+        raise BrokerError(f"{request.op} requires {wants}") from exc
+    if any(math.isnan(number) for number in numbers):
+        raise BrokerError(f"{request.op} requires {wants}, not NaN")
+    if not isinstance(resource, str):
+        raise BrokerError(f"{request.op} requires a string 'resource', "
+                          f"got {resource!r}")
+    return (resource, *numbers)

@@ -7,8 +7,8 @@ provides sources for the rest.
 """
 
 import enum
-import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 from repro.errors import BadDescriptor
 
@@ -47,6 +47,8 @@ class Window:
     upper: float
 
     def __post_init__(self):
+        if math.isnan(self.lower) or math.isnan(self.upper):
+            raise BadDescriptor(f"window bounds must not be NaN: {self!r}")
         if self.lower < 0:
             raise BadDescriptor(f"window lower bound must be >= 0, got {self.lower!r}")
         if self.upper < self.lower:
@@ -78,29 +80,14 @@ class ResourceDescriptor:
             raise BadDescriptor(f"window must be a Window, got {self.window!r}")
 
 
-_request_ids = itertools.count(1)
-
-
-def advance_request_ids(minimum):
-    """Ensure freshly minted request ids exceed ``minimum``.
-
-    Checkpoint restore (:meth:`~repro.core.viceroy.Viceroy.restore`)
-    re-creates registrations under their original ids; the shared counter
-    must jump past them, or a later ``request`` would mint a duplicate id
-    and silently clobber a restored registration.  Never moves backwards.
-    """
-    global _request_ids
-    current = next(_request_ids)
-    _request_ids = itertools.count(max(current, minimum + 1))
-
-
 @dataclass
 class Registration:
     """A live ``request``: the viceroy watches its window until violated
-    or cancelled."""
+    or cancelled.  Its :class:`~repro.core.windows.WindowRegistry` mints
+    ``request_id``."""
 
     app: str
     path: str
     descriptor: ResourceDescriptor
     connection_id: str = None
-    request_id: int = field(default_factory=lambda: next(_request_ids))
+    request_id: int = None

@@ -25,9 +25,9 @@ from repro.core.resources import (
     Resource,
     ResourceDescriptor,
     Window,
-    advance_request_ids,
 )
 from repro.core.upcalls import Upcall, UpcallDispatcher
+from repro.core.windows import WindowRegistry
 from repro.errors import (
     BadDescriptor,
     OdysseyError,
@@ -47,15 +47,7 @@ class Viceroy:
         self.policy.attach(self)
         self.namespace = Namespace(root)
         self.upcalls = upcalls or UpcallDispatcher(sim)
-        self._registrations = {}
-        #: Secondary indexes over ``_registrations`` so per-resource and
-        #: per-connection rechecks scan only the registrations that can
-        #: match.  With thousands of fleet clients the flat table makes
-        #: every round-trip recheck O(all registrations); the indexes make
-        #: it O(matching ones).  Insertion order within each index matches
-        #: the flat table, so violation/upcall order is unchanged.
-        self._by_resource = {}  # Resource -> {request_id: Registration}
-        self._by_connection = {}  # connection_id -> {request_id: Registration}
+        self._registry = WindowRegistry()  # owner: connection id or None
         self._connections = {}  # connection_id -> (conn, warden)
         self._monitors = {}  # Resource -> monitor
         #: Per-connection connectivity trackers; ``connectivity`` supplies
@@ -134,13 +126,9 @@ class Viceroy:
         self._trackers.pop(connection_id, None)
         conn.log.unsubscribe(self)
         self.policy.unregister_connection(connection_id)
-        doomed = list(self._by_connection.get(connection_id, {}).values())
-        for registration in doomed:
-            self._drop_registration(registration)
-            if notify and self.upcalls.has_receiver(registration.app):
-                self._send_upcall(registration,
-                                  registration.descriptor.resource,
-                                  None, kind="teardown")
+        doomed = self._registry.drop_owner(connection_id)
+        if notify:
+            self._upcall_owners(doomed, None, kind="teardown")
         return len(doomed)
 
     def attach_monitor(self, monitor):
@@ -180,39 +168,13 @@ class Viceroy:
         fidelity, lean on the warden's cache, and re-register when the
         degraded-service period ends.
         """
-        doomed = list(self._by_connection.get(connection_id, {}).values())
-        for registration in doomed:
-            self._drop_registration(registration)
-            if self.upcalls.has_receiver(registration.app):
-                self._send_upcall(registration,
-                                  registration.descriptor.resource,
-                                  0.0, kind="disconnect")
+        self._upcall_owners(self._registry.drop_owner(connection_id), 0.0,
+                            kind="disconnect")
 
-    # -- registration bookkeeping -------------------------------------------
-
-    def _add_registration(self, registration):
-        self._registrations[registration.request_id] = registration
-        resource = registration.descriptor.resource
-        self._by_resource.setdefault(resource, {})[
-            registration.request_id] = registration
-        if registration.connection_id is not None:
-            self._by_connection.setdefault(registration.connection_id, {})[
-                registration.request_id] = registration
-
-    def _drop_registration(self, registration):
-        del self._registrations[registration.request_id]
-        resource = registration.descriptor.resource
-        bucket = self._by_resource.get(resource)
-        if bucket is not None:
-            bucket.pop(registration.request_id, None)
-            if not bucket:
-                del self._by_resource[resource]
-        if registration.connection_id is not None:
-            bucket = self._by_connection.get(registration.connection_id)
-            if bucket is not None:
-                bucket.pop(registration.request_id, None)
-                if not bucket:
-                    del self._by_connection[registration.connection_id]
+    def _upcall_owners(self, entries, level, kind):
+        for entry in entries:
+            if self.upcalls.has_receiver(entry.data.app):
+                self._send_upcall(entry, level, kind)
 
     def _distinct_wardens(self):
         """Each mounted warden once, in mount order (a warden may back
@@ -228,12 +190,12 @@ class Viceroy:
     def checkpoint(self):
         """Plain-data snapshot of the state a viceroy restart must not lose.
 
-        Covers live window-of-tolerance registrations (with their request
-        ids), upcall counters, each connection's connectivity state, and
-        every mounted warden's deferred-op log (keyed by warden name) —
-        the queued disconnected-mode writes, their per-log seq counter
-        included, so a restored viceroy replays them in the original order.
-        Everything is JSON-serializable; :meth:`restore` is the inverse.
+        Covers live registrations (with their request ids and the
+        registry's ``next_request_id``), upcall counters, each connection's
+        connectivity state, and every mounted warden's deferred-op log, keyed
+        by warden name and with its seq counter, so a restored viceroy
+        replays queued writes in the original order.  Everything is
+        JSON-serializable; :meth:`restore` is the inverse.
         """
         return {
             "deferred": {warden.name: warden.deferred.checkpoint()
@@ -245,8 +207,9 @@ class Viceroy:
                  "upper": r.descriptor.window.upper,
                  "handler": r.descriptor.handler,
                  "connection_id": r.connection_id}
-                for r in self._registrations.values()
+                for r in self.registered_requests()
             ],
+            "next_request_id": self._registry.next_id,
             "upcalls_sent": self.upcalls_sent,
             "disconnect_upcalls": self.disconnect_upcalls,
             "connectivity": {cid: tracker.state.value
@@ -257,11 +220,11 @@ class Viceroy:
         """Rebuild registrations from a :meth:`checkpoint` snapshot.
 
         Replaces the current registration table.  Registrations bound to a
-        connection id this viceroy no longer knows cannot be re-checked and
-        are dropped; their request ids are returned so the caller can
-        notify the owning applications.  The shared request-id counter is
-        advanced past every restored id, so post-restore ``request`` calls
-        can never mint a duplicate.  Returns ``(restored, dropped_ids)``.
+        connection id this viceroy no longer knows are dropped; their ids
+        are returned so the caller can notify the owning applications.  Ids
+        resume at or past the snapshot's next id and every id in it, never
+        backwards, so no id is minted twice.  Returns
+        ``(restored, dropped_ids)``.
 
         Connectivity trackers are *not* restored: a restarted viceroy must
         re-derive link health from fresh evidence, not trust a snapshot
@@ -269,14 +232,13 @@ class Viceroy:
         warden with the matching name; snapshots for wardens this viceroy
         does not mount are ignored.
         """
-        self._registrations = {}
-        self._by_resource = {}
-        self._by_connection = {}
+        snaps = state["registrations"]
+        self._registry = WindowRegistry(next_id=max(
+            self._registry.next_id, state.get("next_request_id", 1),
+            *(snap["request_id"] + 1 for snap in snaps)))
         dropped = []
-        highest = 0
-        for snap in state["registrations"]:
+        for snap in snaps:
             connection_id = snap["connection_id"]
-            highest = max(highest, snap["request_id"])
             if (connection_id is not None
                     and connection_id not in self._connections):
                 dropped.append(snap["request_id"])
@@ -286,12 +248,9 @@ class Viceroy:
                 window=Window(snap["lower"], snap["upper"]),
                 handler=snap["handler"],
             )
-            registration = Registration(
+            self._register(Registration(
                 app=snap["app"], path=snap["path"], descriptor=descriptor,
-                connection_id=connection_id, request_id=snap["request_id"],
-            )
-            self._add_registration(registration)
-        advance_request_ids(highest)
+                connection_id=connection_id, request_id=snap["request_id"]))
         wardens = {warden.name: warden for warden in self._distinct_wardens()}
         for name, snapshot in state.get("deferred", {}).items():
             warden = wardens.get(name)
@@ -300,7 +259,7 @@ class Viceroy:
         self.upcalls_sent = state.get("upcalls_sent", self.upcalls_sent)
         self.disconnect_upcalls = state.get("disconnect_upcalls",
                                             self.disconnect_upcalls)
-        return len(self._registrations), dropped
+        return len(self._registry), dropped
 
     # -- log observation (RpcLog observer interface) ---------------------------
 
@@ -329,10 +288,7 @@ class Viceroy:
             return None if cid is None else self.policy.availability(cid)
         if resource is Resource.NETWORK_LATENCY:
             cid = self._connection_for(connection_id, path)
-            if cid is None:
-                return None
-            rtt = self.policy.round_trip(cid)
-            return rtt * 1e6 / 2.0 if rtt else None  # one-way, microseconds
+            return None if cid is None else self._one_way_latency(cid)
         monitor = self._monitors.get(resource)
         if monitor is None:
             raise BadDescriptor(f"no monitor attached for resource {resource}")
@@ -347,6 +303,11 @@ class Viceroy:
         return self.availability(
             Resource.NETWORK_BANDWIDTH, connection_id=connection_id
         )
+
+    def _one_way_latency(self, connection_id):
+        """Half the policy's round trip, in microseconds (None if unknown)."""
+        rtt = self.policy.round_trip(connection_id)
+        return rtt * 1e6 / 2.0 if rtt else None
 
     def _connection_for(self, connection_id, path):
         if connection_id is not None:
@@ -369,22 +330,18 @@ class Viceroy:
         new fidelity.  Otherwise returns a unique request id.
         """
         resource = descriptor.resource
-        connection_id = None
-        if resource in (Resource.NETWORK_BANDWIDTH, Resource.NETWORK_LATENCY):
-            connection_id = self._connection_for(None, path)
-            level = self.availability(resource, connection_id=connection_id)
-        else:
-            level = self.availability(resource)
+        connection_id = self._connection_for(None, path) if resource in (
+            Resource.NETWORK_BANDWIDTH, Resource.NETWORK_LATENCY) else None
+        level = self.availability(resource, connection_id=connection_id)
         rec = telemetry.RECORDER
         if level is not None and not descriptor.window.contains(level):
             if rec.enabled:
                 rec.count("viceroy.tolerance_rejections",
                           resource=resource.label)
             raise ToleranceError(resource, level)
-        registration = Registration(
+        registration = self._register(Registration(
             app=app, path=path, descriptor=descriptor, connection_id=connection_id
-        )
-        self._add_registration(registration)
+        ))
         if rec.enabled:
             rec.count("viceroy.requests", resource=resource.label)
             rec.event("viceroy.request", app=app, path=path,
@@ -398,19 +355,27 @@ class Viceroy:
                                    time=self.sim.now)
         return registration.request_id
 
+    def _register(self, registration):
+        """Enter ``registration`` (its id minted unless restored); returns it."""
+        descriptor = registration.descriptor
+        registration.request_id = self._registry.register(
+            descriptor.resource, registration.connection_id,
+            descriptor.window.lower, descriptor.window.upper, registration,
+            request_id=registration.request_id)
+        return registration
+
     def cancel(self, request_id):
         """Discard a registration (paper Fig. 3a)."""
-        if request_id not in self._registrations:
+        if self._registry.cancel(request_id) is None:
             raise RequestNotFound(f"no registered request {request_id!r}")
-        self._drop_registration(self._registrations[request_id])
         rec = telemetry.RECORDER
         if rec.enabled:
             rec.count("viceroy.cancels")
 
     def registered_requests(self, app=None):
         """Live registrations, optionally filtered by application."""
-        return [r for r in self._registrations.values()
-                if app is None or r.app == app]
+        return [entry.data for entry in self._registry
+                if app is None or entry.data.app == app]
 
     # -- window checking ------------------------------------------------------------
 
@@ -419,29 +384,24 @@ class Viceroy:
         self._recheck(Resource.NETWORK_BANDWIDTH)
 
     def _recheck(self, resource, connection_id=None):
-        if connection_id is not None:
-            candidates = self._by_connection.get(connection_id, {})
+        """Upcall each window on ``resource`` its level has left (only
+        ``connection_id``'s, if given), choosing the level function once."""
+        if resource is Resource.NETWORK_BANDWIDTH:
+            level_of = self.policy.availability
+        elif resource is Resource.NETWORK_LATENCY:
+            level_of = self._one_way_latency
         else:
-            candidates = self._by_resource.get(resource, {})
-        violated = []
-        for registration in candidates.values():
-            descriptor = registration.descriptor
-            if descriptor.resource is not resource:
-                continue
-            level = self.availability(
-                resource, connection_id=registration.connection_id
-            ) if registration.connection_id else self.availability(resource)
-            if level is None:
-                continue
-            if not descriptor.window.contains(level):
-                violated.append((registration, level))
-        for registration, level in violated:
-            self._drop_registration(registration)
-            self._send_upcall(registration, resource, level, kind="violation")
+            current = self._monitors[resource].current
+            level_of = lambda owner: current()  # noqa: E731 - owner is None here
+        for entry, level in self._registry.observe(resource, level_of,
+                                                  connection_id):
+            self._send_upcall(entry, level, kind="violation")
 
-    def _send_upcall(self, registration, resource, level, kind):
-        """Issue one upcall for a dropped registration (all three flavours:
-        window ``violation``, connection ``teardown``, link ``disconnect``)."""
+    def _send_upcall(self, entry, level, kind):
+        """Issue one upcall for a dropped registry entry (all three
+        flavours: window ``violation``, connection ``teardown``, link
+        ``disconnect``)."""
+        registration = entry.data
         self.upcalls_sent += 1
         if kind == "disconnect":
             self.disconnect_upcalls += 1
@@ -449,16 +409,16 @@ class Viceroy:
         if rec.enabled:
             rec.count("viceroy.upcalls", kind=kind)
             rec.event("viceroy.upcall", kind=kind, app=registration.app,
-                      request_id=registration.request_id,
-                      resource=resource.label, level=level)
+                      request_id=entry.request_id,
+                      resource=entry.resource.label, level=level)
         if self._observers:
             self._notify_observers("upcall", kind=kind, app=registration.app,
-                                   request_id=registration.request_id,
+                                   request_id=entry.request_id,
                                    level=level, time=self.sim.now)
         self.upcalls.send(
             registration.app,
             registration.descriptor.handler,
-            Upcall(registration.request_id, resource, level),
+            Upcall(entry.request_id, entry.resource, level),
         )
 
     # -- object operations (delegated through the namespace) --------------------------
@@ -510,7 +470,7 @@ class Viceroy:
                  "resource": r.descriptor.resource.label,
                  "window": (r.descriptor.window.lower,
                             r.descriptor.window.upper)}
-                for r in self._registrations.values()
+                for r in self.registered_requests()
             ],
             "upcalls_sent": self.upcalls_sent,
         }

@@ -1,28 +1,15 @@
 """Transport: the seam that lifts the RPC stack off the simulator.
 
-Two substrates behind one channel contract (docs/architecture.md §15):
-
-- the **deterministic sim path** (:mod:`repro.transport.sim`) — messages
-  ride as live objects through :mod:`repro.net`, exactly as the RPC stack
-  always sent them; the fig8/fig9/fleet golden fingerprints prove this
-  path byte-identical;
-- the **real path** (:mod:`repro.transport.tcp`) — asyncio TCP sockets
-  speaking the versioned, length-prefixed, checksummed wire format of
-  :mod:`repro.transport.wire`, which round-trips every
-  :mod:`repro.rpc.messages` dataclass.
-
-The :mod:`repro.broker` subsystem builds a multi-client RPC broker on the
-real path.  Importing this package must never perturb a simulation —
-``tests/test_transport_golden.py`` holds that line.
+One channel contract (:class:`~repro.transport.base.Channel`,
+docs/architecture.md §15) over asyncio TCP sockets
+(:mod:`repro.transport.tcp`) speaking the versioned, length-prefixed,
+checksummed wire format of :mod:`repro.transport.wire`; :mod:`repro.broker`
+builds on it.  The simulated RPC stack keeps sending live objects through
+:mod:`repro.net`, and importing this package must never perturb a
+simulation — ``tests/test_transport_golden.py`` holds that line.
 """
 
 from repro.transport.base import Channel
-from repro.transport.sim import (
-    SimChannel,
-    SimListener,
-    SimTransport,
-    sim_packet_size,
-)
 from repro.transport.tcp import (
     READ_CHUNK_BYTES,
     TcpChannel,
@@ -53,9 +40,6 @@ __all__ = [
     "WIRE_VERSION",
     "Channel",
     "FrameDecoder",
-    "SimChannel",
-    "SimListener",
-    "SimTransport",
     "TcpChannel",
     "TcpServer",
     "connect_tcp",
@@ -64,6 +48,5 @@ __all__ = [
     "encode_frame",
     "encode_message",
     "serve_tcp",
-    "sim_packet_size",
     "try_decode_frame",
 ]

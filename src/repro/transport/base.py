@@ -1,4 +1,4 @@
-"""The transport seam: one contract, two substrates.
+"""The transport seam: one channel contract.
 
 A *transport* moves whole :mod:`repro.rpc.messages` objects between two
 endpoints and delivers arrivals to a callback.  The contract:
@@ -11,14 +11,8 @@ endpoints and delivers arrivals to a callback.  The contract:
   exactly once (``exc`` is ``None`` for a deliberate close, the fatal
   exception for a transport death).
 
-Two implementations satisfy it:
-
-- :class:`~repro.transport.sim.SimTransport` — the deterministic path:
-  messages ride as live objects inside :class:`~repro.net.packet.Packet`
-  through the simulated network, exactly as the RPC stack has always sent
-  them (the fig8/fig9/fleet golden fingerprints prove this path unchanged);
-- :class:`~repro.transport.tcp.TcpChannel` — real asyncio TCP sockets,
-  messages serialized through :mod:`repro.transport.wire`.
+:class:`~repro.transport.tcp.TcpChannel` implements it over real asyncio
+TCP sockets, messages serialized through :mod:`repro.transport.wire`.
 """
 
 from repro.errors import TransportError

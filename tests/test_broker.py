@@ -7,8 +7,10 @@ import pytest
 
 from repro import telemetry
 from repro.broker import HELLO_OP, Broker, BrokerClient
+from repro.broker.server import CANCEL_OP, REPORT_OP, REQUEST_OP
 from repro.connectivity import AsyncHeartbeatProber
 from repro.errors import RemoteCallError, RpcTimeout, TransportError
+from repro.live import LiveBroker
 from repro.rpc.messages import CallRequest, CallResponse
 from repro.transport import FrameDecoder, encode_frame, serve_tcp
 from tests.test_transport_wire import MALFORMED_TAG_BODIES, hostile_request
@@ -485,3 +487,46 @@ def test_malformed_tag_after_a_valid_hello_tears_the_session_down(body):
                 if event["fields"]["client"] == "mallory"]
     assert len(teardown) == 1
     assert teardown[0]["reason"].startswith("socket error: malformed")
+
+
+#: Window bodies that once escaped ``_dispatch_call`` as TypeError or
+#: AttributeError (killing the caller's session), or slipped a NaN in.
+HOSTILE_WINDOW_CALLS = [
+    (REPORT_OP, [1]),
+    (REPORT_OP, {"resource": [1], "level": 3}),
+    (REPORT_OP, {"resource": "bandwidth", "level": "nan"}),
+    (REQUEST_OP, {"resource": ["x"], "lower": 0, "upper": 1}),
+    (REQUEST_OP, {"resource": "x", "lower": "nan", "upper": 1}),
+    (REQUEST_OP, {"resource": "x", "lower": 0, "upper": "nan"}),
+    (CANCEL_OP, {"request_id": [1]}),
+    (CANCEL_OP, {"request_id": True}),
+]
+
+
+@pytest.mark.parametrize("broker_class", [Broker, LiveBroker],
+                         ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("op, body", HOSTILE_WINDOW_CALLS, ids=repr)
+def test_a_malformed_window_body_gets_an_error_reply(broker_class, op, body):
+    """After a valid hello: an error reply, the session stays open, the
+    next call works, and no NaN level is left behind to reject windows."""
+
+    async def scenario():
+        broker = broker_class(port=0)
+        await broker.start()
+        client = await connect(broker, "alpha")
+        try:
+            first = await client.request(0.0, "inf", resource="x")
+            with pytest.raises(RemoteCallError, match="BrokerError"):
+                await client.call(op, body)
+            echoed = await client.call("echo", {"ok": True})
+            second = await client.request(0.0, 1.0, resource="bandwidth")
+            return (first, second, echoed, broker.describe())
+        finally:
+            await client.close()
+            await broker.close()
+
+    first, second, echoed, state = run(scenario())
+    assert echoed == {"ok": True}
+    assert second == first + 1  # the open window was never cancelled
+    assert state["clients"] == 1 and state["connections_closed"] == 0
+    assert state["registrations"] == 2

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.resources import Registration, Resource, ResourceDescriptor, Window
+from repro.core.resources import Resource, ResourceDescriptor, Window
 from repro.errors import BadDescriptor
 
 
@@ -42,6 +42,10 @@ def test_window_validation():
     with pytest.raises(BadDescriptor):
         Window(10.0, 5.0)
     Window(5.0, 5.0)  # degenerate but legal
+    for lower, upper in ((float("nan"), 1.0), (0.0, float("nan"))):
+        with pytest.raises(BadDescriptor, match="NaN"):
+            Window(lower, upper)  # no level satisfies a NaN bound
+    Window(0.0, float("inf"))  # open above is legal
 
 
 def test_descriptor_validation():
@@ -54,9 +58,3 @@ def test_descriptor_validation():
     with pytest.raises(BadDescriptor):
         ResourceDescriptor(Resource.CPU, (0, 100))
 
-
-def test_registration_ids_unique():
-    descriptor = ResourceDescriptor(Resource.CPU, Window(0, 1))
-    a = Registration("app", "/p", descriptor)
-    b = Registration("app", "/p", descriptor)
-    assert a.request_id != b.request_id
