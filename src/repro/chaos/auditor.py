@@ -53,18 +53,20 @@ class Violation:
 
 
 class _TrackerWatch:
-    """Transition history and legality state for one tracker."""
+    """Transition history and legality state for one tracker name."""
 
-    __slots__ = ("name", "tracker", "state", "last_time", "history",
-                 "retired_at")
+    __slots__ = ("name", "tracker", "state", "last_time", "history")
 
-    def __init__(self, name, tracker, now):
+    def __init__(self, name):
         self.name = name
+        self.history = []  # (time, state after move)
+
+    def adopt(self, tracker, now):
+        """Follow ``tracker`` (a restart, not a transition) from ``now``."""
         self.tracker = tracker
         self.state = tracker.state
         self.last_time = now
-        self.history = [(now, tracker.state)]  # (time, state after move)
-        self.retired_at = None
+        self.history.append((now, tracker.state))
 
     def offline_at(self, t):
         """Was the tracker offline at time ``t`` (per observed history)?"""
@@ -105,8 +107,7 @@ class InvariantAuditor:
         self.settling_slo = settling_slo
         self.settling_tolerance = settling_tolerance
         self.violations = []
-        self._trackers = {}  # connection_id -> active _TrackerWatch
-        self._retired = []  # retired _TrackerWatch list
+        self._trackers = {}  # connection_id -> _TrackerWatch
         self._wardens = {}  # warden name -> _WardenWatch
         self._pending_upcalls = {}  # (app, request_id) -> sent time
         self._storms = []  # (start, end, target) absolute windows
@@ -127,15 +128,12 @@ class InvariantAuditor:
     def watch_tracker(self, name, tracker):
         """Audit a tracker's transitions; supersedes any prior tracker
         observed under the same name (a restart replaced it)."""
-        now = self.clock()
-        old = self._trackers.get(name)
-        if old is not None:
-            old.retired_at = now
-            self._retired.append(old)
-        watch = _TrackerWatch(name, tracker, now)
-        self._trackers[name] = watch
-        tracker.subscribe(
-            lambda transition, w=watch: self._on_transition(w, transition))
+        watch = self._trackers.get(name)
+        if watch is None:
+            watch = self._trackers[name] = _TrackerWatch(name)
+        watch.adopt(tracker, self.clock())
+        tracker.subscribe(lambda transition, w=watch, t=tracker:
+                          self._on_transition(w, t, transition))
 
     def watch_warden(self, warden):
         """Audit a warden's deferred-op log for conservation."""
@@ -175,7 +173,9 @@ class InvariantAuditor:
                 self._pending_upcalls[(info["app"], info["request_id"])] = \
                     info["time"]
 
-    def _on_transition(self, watch, transition):
+    def _on_transition(self, watch, tracker, transition):
+        if tracker is not watch.tracker:
+            return  # late evidence on a retired tracker; its successor rules
         now = transition.time
         if transition.target not in VALID_TRANSITIONS.get(transition.source,
                                                           ()):
@@ -253,9 +253,6 @@ class InvariantAuditor:
                     f"answered within the {self.upcall_grace:g} s grace",
                     now)
 
-    def _all_watches(self):
-        return self._retired + list(self._trackers.values())
-
     def _finish_recovery(self, now):
         if self.recovery_slo is None:
             return
@@ -268,9 +265,7 @@ class InvariantAuditor:
                 continue
             if now < end + slo:
                 continue  # not enough horizon to judge
-            for watch in self._all_watches():
-                if watch.retired_at is not None and watch.retired_at <= end:
-                    continue  # replaced before the deadline; judge successor
+            for watch in self._trackers.values():
                 if not watch.offline_at(end):
                     continue
                 recovered = watch.first_connected_after(end)

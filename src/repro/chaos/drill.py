@@ -12,8 +12,8 @@ that under load, inside a live storm:
    with :class:`~repro.errors.RpcError` (their reply seqs move to the
    connection's abandoned set so late server replies are dropped, not
    crashed on), unregister every connection (no goodbye upcalls — a
-   crash does not say goodbye), and wipe the in-memory deferred logs
-   (the crash loses RAM; the checkpoint is the disk);
+   crash does not say goodbye), wipe the in-memory deferred logs (the
+   crash loses RAM; the checkpoint is the disk) and revoke each replayer;
 3. **restore** — re-adopt every connection (fresh trackers: a restarted
    viceroy re-derives link health from evidence, per ``restore``'s
    contract), restore the snapshot, and restart the heartbeats;
@@ -97,6 +97,7 @@ def run_crash_drill(viceroy, reason="chaos drill"):
         viceroy.unregister_connection(cid, notify=False)
     for warden in wardens:
         warden.deferred.clear()
+        warden._replayer = None  # the old replayer dies with the process
 
     # 3. Restore: re-adopt connections (fresh trackers), reload the
     #    snapshot, bring the heartbeats back up.

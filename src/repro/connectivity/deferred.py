@@ -1,4 +1,4 @@
-"""The deferred-operation log: write-behind for disconnected operation.
+"""The deferred-operation log: write-ahead for disconnected operation.
 
 Mutating type-specific operations issued while a connection is disconnected
 are recorded here instead of hanging in retries; on reconnection the warden
@@ -7,11 +7,16 @@ fate.  The log is deliberately small and bounded — a mobile client that has
 been offline for an hour should refuse new writes loudly
 (:class:`~repro.errors.DeferredLogFull`), not grow without limit.
 
+Write-ahead: replay peeks with :meth:`DeferredOpLog.head` and removes an op
+with :meth:`DeferredOpLog.retire` only on a terminal outcome, so a
+checkpoint taken at any instant, mid-replay included, loses nothing.
+
 Coalescing: operations that overwrite each other (a video player saving its
 playback position every few seconds, say) carry a ``coalesce`` key; a new
 append with the same key replaces the queued older op, so reintegration
 replays only the final value.  The replaced op's slot is freed, which is
-what makes a bounded log workable for chatty writers.
+what makes a bounded log workable for chatty writers.  The op on the wire
+is never replaced.
 """
 
 from dataclasses import dataclass
@@ -48,14 +53,13 @@ class DeferredOp:
 class ReplayReport:
     """The fate of one deferred op during reintegration.
 
-    ``status`` is one of:
+    Every report is terminal; an op whose replay was cut short has none and
+    is still at the head of the log.  ``status`` is one of:
 
     - ``"applied"`` — the server accepted the operation;
     - ``"conflict"`` — the server reported a conflicting concurrent update
       (the reply body carried ``{"conflict": True}``);
-    - ``"failed"`` — the replay itself failed (RPC error mid-reintegration);
-    - ``"requeued"`` — the link died again mid-replay and the op went back
-      into the log.
+    - ``"failed"`` — the warden rejected the op (an ``OdysseyError``).
     """
 
     op: DeferredOp
@@ -72,6 +76,7 @@ class DeferredOpLog:
             raise OdysseyError(f"deferred-log capacity must be positive, got {capacity!r}")
         self.capacity = capacity
         self._ops = []
+        self._in_flight = None  # the op :meth:`head` handed to a replayer
         self._next_seq = 1
         self.enqueued = 0
         self.coalesced = 0
@@ -106,7 +111,8 @@ class DeferredOpLog:
         replaced = None
         if op.coalesce is not None:
             for queued in self._ops:
-                if queued.coalesce == op.coalesce:
+                if (queued.coalesce == op.coalesce
+                        and queued is not self._in_flight):
                     self._ops.remove(queued)
                     self.coalesced += 1
                     replaced = queued.seq
@@ -122,27 +128,20 @@ class DeferredOpLog:
             self.observer(op, replaced)
         return op
 
-    def drain(self):
-        """Remove and return every queued op, oldest first (for replay)."""
-        ops, self._ops = self._ops, []
-        self.replayed += len(ops)
-        return ops
+    def head(self):
+        """The oldest op, left queued and marked so no append coalesces it."""
+        self._in_flight = self._ops[0]
+        return self._in_flight
 
-    def requeue(self, ops):
-        """Put drained ops back at the *front*, ahead of later arrivals.
-
-        The link died again mid-replay: the unplayed tail must keep its
-        place before any op queued during the replay attempt.  Not a new
-        enqueue (counters untouched) and never raises — a transient
-        overshoot of ``capacity`` beats dropping writes already accepted
-        into the log.
-        """
-        ops = list(ops)
-        self._ops = ops + self._ops
-        self.replayed -= len(ops)
+    def retire(self, op):
+        """Remove ``op`` after a terminal replay outcome; counts ``replayed``."""
+        self._ops.remove(op)
+        self._in_flight = None
+        self.replayed += 1
 
     def clear(self):
         self._ops = []
+        self._in_flight = None
 
     # -- checkpoint / restore -------------------------------------------------
 
@@ -180,6 +179,7 @@ class DeferredOpLog:
                        coalesce=snap.get("coalesce"), seq=snap["seq"])
             for snap in state["ops"]
         ]
+        self._in_flight = None
         highest = max((op.seq for op in self._ops), default=0)
         self._next_seq = max(state.get("next_seq", 1), highest + 1)
         self.enqueued = state.get("enqueued", self.enqueued)

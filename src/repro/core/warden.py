@@ -187,6 +187,7 @@ class Warden:
         self.max_staleness = max_staleness
         self.deferred = DeferredOpLog(deferred_capacity)
         self.reintegration_reports = []
+        self._replayer = None  # the live replayer's token, or None
         self.stale_served = 0
         self.disconnected_misses = 0
         self.staleness_served = []  # age (s) of each stale copy served
@@ -424,79 +425,65 @@ class Warden:
     # -- reintegration ---------------------------------------------------------
 
     def on_reconnect(self, conn):
-        """Viceroy hook: ``conn`` recovered; replay the deferred-op log."""
-        if self.deferred:
-            self.sim.process(self._reintegrate(conn),
+        """Viceroy hook: ``conn`` recovered; replay the deferred-op log.
+
+        One replayer at most: the op on the wire is still in the log, so a
+        second replayer would apply it twice.
+        """
+        if self.deferred and self._replayer is None:
+            self._replayer = token = object()
+            self.sim.process(self._reintegrate(conn, token),
                              name=f"{self.name}.reintegrate")
 
-    def _requeue_tail(self, ops):
-        """Put unplayed ops back at the front of the log, with reports."""
-        self.deferred.requeue(ops)
-        rec = telemetry.RECORDER
-        for op in ops:
-            self.reintegration_reports.append(ReplayReport(
-                op, "requeued", replayed_at=self.sim.now,
-            ))
-            if rec.enabled:
-                rec.count("warden.reintegration", warden=self.name,
-                          status="requeued")
-        if rec.enabled:
-            rec.gauge("warden.deferred_depth", len(self.deferred),
-                      warden=self.name)
-
-    def _reintegrate(self, conn):
+    def _reintegrate(self, conn, token):
         """Replay queued ops in enqueue order, recording each op's fate.
 
-        Dispatches each op's method directly (not through :meth:`tsop`,
-        whose deferral check would send the replay straight back into the
-        log).  Ops deferred *during* replay — writers keep writing — are
-        picked up by draining again until the log stays empty.  If the
-        link dies again mid-replay, the unplayed tail is requeued at the
-        front and replay stops; the next reconnection resumes it.
-
-        A replay attempt that *times out* does not discard the write: the
-        op (and the tail behind it) is requeued and retried on the next
-        pass.  The timeout is also fed to the connectivity tracker, so a
-        link that keeps flaking walks back to DISCONNECTED and ends the
-        replay rather than spinning.  Only non-timeout errors — the op is
-        malformed, the connection was torn down — report ``failed``.
+        Write-ahead: the op at the head of the log is replayed directly (not
+        through :meth:`tsop`, whose deferral check would queue it again) and
+        retired only on a terminal outcome: a reply (``applied`` /
+        ``conflict``) or an :class:`OdysseyError` (``failed``).  A timeout
+        feeds the tracker and retries the op; an offline link or any other
+        :class:`RpcError` stops the replay with the op still at the head.
+        ``token`` is bound at spawn; once a crash drill revokes it, the
+        replayer exits at its next wakeup without touching the log.
         """
-        while self.deferred:
-            batch = self.deferred.drain()
-            for position, op in enumerate(batch):
-                tracker = self.connectivity(conn)
-                if tracker is not None and tracker.offline:
-                    self._requeue_tail(batch[position:])
-                    return
-                method = getattr(self, self.TSOPS[op.opcode])
-                try:
-                    result = yield from method(op.app, op.rest, op.inbuf)
-                except RpcTimeout:
-                    if tracker is not None:
-                        tracker.note_failure()
-                    self._requeue_tail(batch[position:])
-                    if tracker is not None and tracker.offline:
-                        return
-                    break  # drain again and retry from this op
-                except (RpcError, OdysseyError) as exc:
-                    status, detail = "failed", exc
-                else:
-                    if tracker is not None:
-                        tracker.note_success()
-                    if isinstance(result, dict) and result.get("conflict"):
-                        status = "conflict"
-                    else:
-                        status = "applied"
-                    detail = result
-                self.reintegration_reports.append(ReplayReport(
-                    op, status, detail=detail, replayed_at=self.sim.now,
-                ))
-                rec = telemetry.RECORDER
-                if rec.enabled:
-                    rec.count("warden.reintegration", warden=self.name,
-                              status=status)
-                    rec.gauge("warden.deferred_depth", len(self.deferred),
-                              warden=self.name)
+        while self._replayer is token and self.deferred:
+            tracker = self.connectivity(conn)
+            if tracker is not None and tracker.offline:
+                break
+            op = self.deferred.head()
+            method = getattr(self, self.TSOPS[op.opcode])
+            try:
+                result = yield from method(op.app, op.rest, op.inbuf)
+            except (RpcError, OdysseyError) as exc:
+                result = exc
+            if self._replayer is not token:
+                return  # superseded by a crash
+            if isinstance(result, RpcTimeout):
+                if tracker is not None:
+                    tracker.note_failure()
+                continue
+            if isinstance(result, RpcError):
+                break
+            if isinstance(result, OdysseyError):
+                status = "failed"
+            else:
+                if tracker is not None:
+                    tracker.note_success()
+                conflict = isinstance(result, dict) and result.get("conflict")
+                status = "conflict" if conflict else "applied"
+            self.deferred.retire(op)
+            self.reintegration_reports.append(ReplayReport(
+                op, status, detail=result, replayed_at=self.sim.now,
+            ))
+            rec = telemetry.RECORDER
+            if rec.enabled:
+                rec.count("warden.reintegration", warden=self.name,
+                          status=status)
+                rec.gauge("warden.deferred_depth", len(self.deferred),
+                          warden=self.name)
+        if self._replayer is token:
+            self._replayer = None
 
     # -- vfs hooks (subclasses override what they support) ------------------------
 

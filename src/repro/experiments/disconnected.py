@@ -30,6 +30,7 @@ service is the gap in blackout-window success rates.
 """
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.apps.web.images import ImageStore
@@ -269,19 +270,10 @@ def run_disconnected_trial(policy="odyssey", seed=0, duration=DEFAULT_DURATION,
     world.sim.run(until=duration)
 
     result.stale_ages = list(warden.staleness_served)
-    # An op can be requeued (link relapsed or its replay timed out) before
-    # its final execution report: count each op's *last* status, and check
-    # ordering over execution reports only — requeue entries are
-    # bookkeeping, not replays.
-    final_status = {}
-    execution_seqs = []
-    for report in warden.reintegration_reports:
-        final_status[report.op.seq] = report.status
-        if report.status != "requeued":
-            execution_seqs.append(report.op.seq)
-    for status in final_status.values():
-        result.reintegrated[status] = result.reintegrated.get(status, 0) + 1
-    result.replay_in_order = execution_seqs == sorted(execution_seqs)
+    reports = warden.reintegration_reports
+    result.reintegrated = dict(Counter(report.status for report in reports))
+    seqs = [report.op.seq for report in reports]
+    result.replay_in_order = seqs == sorted(seqs)
     tracker = warden.connectivity(conn)
     if tracker is not None:
         result.transitions = [

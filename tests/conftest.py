@@ -1,12 +1,20 @@
 """Shared fixtures: simulators, networks, and wired-up worlds."""
 
 import pytest
+from hypothesis import settings
 
 from repro.core.api import OdysseyAPI
 from repro.core.viceroy import Viceroy
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
 from repro.trace.waveforms import HIGH_BANDWIDTH, constant
+
+# Tier-1 replays the same hypothesis examples on every run.  Property tests
+# that leave ``max_examples`` unset take it from the profile, so
+# ``--hypothesis-profile=nightly`` turns them into sweeps.
+settings.register_profile("ci", derandomize=True, max_examples=10)
+settings.register_profile("nightly", max_examples=4000)
+settings.load_profile("ci")
 
 
 @pytest.fixture(autouse=True)

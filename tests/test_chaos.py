@@ -194,8 +194,8 @@ def test_auditor_conserves_deferred_ops():
     replaced = _op(warden.deferred, coalesce="k")
     _op(warden.deferred, coalesce="k")  # coalesces `replaced` away
     queued = _op(warden.deferred)  # still queued at the end
-    drained = warden.deferred.drain()
-    warden.deferred.requeue([op for op in drained if op.seq != applied.seq])
+    assert warden.deferred.head() is applied
+    warden.deferred.retire(applied)
     warden.reintegration_reports.append(
         ReplayReport(op=applied, status="applied", replayed_at=50.0))
     assert {op.seq for op in warden.deferred} > {queued.seq}
@@ -207,8 +207,8 @@ def test_auditor_flags_lost_op():
     auditor = make_auditor()
     warden = FakeWarden()
     auditor.watch_warden(warden)
-    _op(warden.deferred)
-    warden.deferred.drain()  # vanished: no report, no coalesce
+    op = _op(warden.deferred)
+    warden.deferred.retire(op)  # vanished: no report, no coalesce
     violations = auditor.finish(100.0)
     assert [v.invariant for v in violations] == ["deferred-ops"]
     assert "vanished" in violations[0].detail
@@ -220,7 +220,8 @@ def test_auditor_flags_double_apply_and_failed_replay():
     auditor.watch_warden(warden)
     op = _op(warden.deferred)
     dropped = _op(warden.deferred)
-    warden.deferred.drain()
+    warden.deferred.retire(op)
+    warden.deferred.retire(dropped)
     warden.reintegration_reports += [
         ReplayReport(op=op, status="applied", replayed_at=50.0),
         ReplayReport(op=op, status="applied", replayed_at=60.0),
@@ -266,6 +267,27 @@ def test_auditor_recovery_slo():
         == [("recovery", "slow")]
     assert auditor.recovery_seconds == [5.0]
     assert auditor.max_recovery_seconds == 5.0
+
+
+def test_auditor_recovery_follows_a_tracker_restarted_after_the_storm():
+    """A drill after the storm ends replaces an offline tracker with one
+    that starts CONNECTED: that is recovery, at the restart instant."""
+    clock = Clock()
+    auditor = InvariantAuditor(clock, recovery_slo=10.0)
+    old = FakeTracker()
+    auditor.watch_tracker("conn-0", old)
+    old.move(1.0, ConnState.CONNECTED, ConnState.DEGRADED)
+    old.move(2.0, ConnState.DEGRADED, ConnState.DISCONNECTED)
+    auditor.note_storm(0.0, 20.0)
+    clock.now = 21.0
+    new = FakeTracker(ConnState.CONNECTED)
+    auditor.watch_tracker("conn-0", new)
+    # A restart is not a transition: the successor's moves are judged
+    # from its own initial state, and the retired tracker is ignored.
+    new.move(22.0, ConnState.CONNECTED, ConnState.DEGRADED)
+    old.move(23.0, ConnState.DISCONNECTED, ConnState.RECONNECTING)
+    assert auditor.finish(100.0) == []
+    assert auditor.recovery_seconds == [1.0]
 
 
 def test_auditor_recovery_defers_to_overlapping_later_storm():

@@ -1,4 +1,6 @@
-"""The deferred-op log: order, capacity, coalescing, requeue."""
+"""The deferred-op log: order, capacity, coalescing, write-ahead replay."""
+
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,16 @@ def make_op(opcode="post", coalesce=None, **inbuf):
                       queued_at=0.0, coalesce=coalesce)
 
 
+def replay_all(log):
+    """Replay the way a warden does: head, then retire; returns the order."""
+    replayed = []
+    while log:
+        op = log.head()
+        replayed.append(op)
+        log.retire(op)
+    return replayed
+
+
 def test_capacity_validated():
     with pytest.raises(OdysseyError):
         DeferredOpLog(0)
@@ -23,9 +35,21 @@ def test_fifo_order_preserved():
     ops = [make_op(n=i) for i in range(5)]
     for op in ops:
         log.append(op)
-    assert log.drain() == ops
+    assert replay_all(log) == ops
     assert len(log) == 0
     assert log.replayed == 5
+
+
+def test_head_peeks_and_retire_counts_replayed():
+    log = DeferredOpLog()
+    first, second = log.append(make_op(n=1)), log.append(make_op(n=2))
+    assert log.head() is first
+    assert log.head() is first  # a peek, not a pop
+    assert len(log) == 2 and log.replayed == 0
+    log.retire(first)
+    assert list(log) == [second]
+    assert log.replayed == 1
+    assert log.enqueued == 2  # retiring is not an enqueue
 
 
 def test_full_log_refuses_loudly():
@@ -42,8 +66,7 @@ def test_coalescing_keeps_only_the_latest():
     log.append(make_op(coalesce="pos:m1", value=1))
     log.append(make_op(coalesce=None, value=2))
     log.append(make_op(coalesce="pos:m1", value=3))
-    ops = log.drain()
-    assert [op.inbuf["value"] for op in ops] == [2, 3]
+    assert [op.inbuf["value"] for op in log] == [2, 3]
     assert log.coalesced == 1
 
 
@@ -53,7 +76,62 @@ def test_coalescing_frees_the_slot():
     log.append(make_op(value=2))
     # Full — but a coalescing append replaces, so it still fits.
     log.append(make_op(coalesce="k", value=3))
-    assert [op.inbuf["value"] for op in log.drain()] == [2, 3]
+    assert [op.inbuf["value"] for op in log] == [2, 3]
+
+
+def test_in_flight_op_is_never_coalesced():
+    """A new write must not replace the op whose replay is on the wire."""
+    log = DeferredOpLog(capacity=4)
+    on_wire = log.append(make_op(coalesce="k", value=1))
+    assert log.head() is on_wire
+    behind = log.append(make_op(coalesce="k", value=2))
+    assert list(log) == [on_wire, behind]
+    assert log.coalesced == 0
+    # Ops queued behind the wire still coalesce with each other.
+    latest = log.append(make_op(coalesce="k", value=3))
+    assert list(log) == [on_wire, latest]
+    assert log.coalesced == 1
+    # Once retired, the key coalesces normally again.
+    log.retire(on_wire)
+    assert list(log) == [latest]
+    assert [op.inbuf["value"] for op in replay_all(log)] == [3]
+
+
+def test_in_flight_op_stays_ahead_of_later_arrivals():
+    """A replay cut short leaves its op at the head, before ops queued
+    while it was on the wire."""
+    log = DeferredOpLog(capacity=8)
+    first, second = log.append(make_op(n=1)), log.append(make_op(n=2))
+    assert log.head() is first  # ...and the link dies mid-replay
+    late = log.append(make_op(n=3))
+    assert replay_all(log) == [first, second, late]
+    assert log.enqueued == 3
+
+
+def test_checkpoint_taken_mid_replay_holds_the_in_flight_op():
+    log = DeferredOpLog(capacity=8)
+    on_wire = log.append(make_op(n=1, coalesce="k"))
+    log.append(make_op(n=2))
+    log.head()
+    snapshot = json.loads(json.dumps(log.checkpoint()))
+    assert [snap["seq"] for snap in snapshot["ops"]] == [on_wire.seq, 2]
+
+    clone = DeferredOpLog(capacity=8)
+    clone.restore(snapshot)
+    assert [op.seq for op in clone] == [on_wire.seq, 2]
+    # The restored log has nothing in flight: the key coalesces again.
+    clone.append(make_op(n=3, coalesce="k"))
+    assert [op.inbuf["n"] for op in clone] == [2, 3]
+
+
+def test_clear_resets_the_in_flight_mark():
+    log = DeferredOpLog()
+    log.append(make_op(coalesce="k"))
+    log.head()
+    log.clear()
+    log.append(make_op(coalesce="k", value=1))
+    log.append(make_op(coalesce="k", value=2))
+    assert [op.inbuf["value"] for op in log] == [2]
 
 
 def test_distinct_coalesce_keys_do_not_merge():
@@ -61,20 +139,6 @@ def test_distinct_coalesce_keys_do_not_merge():
     log.append(make_op(coalesce="pos:m1", value=1))
     log.append(make_op(coalesce="pos:m2", value=2))
     assert len(log) == 2
-
-
-def test_requeue_goes_to_the_front():
-    log = DeferredOpLog(capacity=8)
-    first, second = make_op(n=1), make_op(n=2)
-    log.append(first)
-    log.append(second)
-    batch = log.drain()
-    # A new op arrives while the replay is failing...
-    late = log.append(make_op(n=3))
-    # ...then the unplayed tail goes back in front of it.
-    log.requeue(batch[1:])
-    assert log.drain() == [second, late]
-    assert log.enqueued == 3  # requeue is not a new enqueue
 
 
 def test_sequence_numbers_are_monotonic():
@@ -100,8 +164,6 @@ def test_sequences_are_per_log_not_global():
 
 
 def test_checkpoint_restore_preserves_seq_and_order():
-    import json
-
     log = DeferredOpLog(capacity=8)
     log.append(make_op(n=1, coalesce="k"))
     log.append(make_op(n=2))
@@ -122,10 +184,11 @@ def test_restore_advances_counter_past_snapshot():
     log = DeferredOpLog()
     for i in range(5):
         log.append(make_op(n=i))
-    log.drain()  # queue empty, but counter must survive in the snapshot
+    replay_all(log)  # queue empty, but counter must survive in the snapshot
     snapshot = log.checkpoint()
     clone = DeferredOpLog()
     clone.restore(snapshot)
+    assert clone.replayed == 5
     assert clone.append(make_op(n=99)).seq == 6
 
 
@@ -136,11 +199,11 @@ def test_restore_advances_counter_past_snapshot():
 ))
 def test_at_most_one_op_per_coalesce_key(keys):
     """However appends interleave, each coalesce key occupies one slot and
-    drain order matches (coalesced) arrival order."""
+    queue order matches (coalesced) arrival order."""
     log = DeferredOpLog(capacity=100)
     for i, key in enumerate(keys):
         log.append(make_op(coalesce=key, value=i))
-    ops = log.drain()
+    ops = list(log)
     seen = [op.coalesce for op in ops if op.coalesce is not None]
     assert len(seen) == len(set(seen))
     seqs = [op.seq for op in ops]

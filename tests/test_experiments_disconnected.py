@@ -6,6 +6,7 @@ deterministic per seed, so the cost is paid once.
 
 import pytest
 
+from repro.apps.web.server import WebServer
 from repro.experiments.disconnected import (
     BLACKOUT_SECONDS,
     BLACKOUT_START,
@@ -73,6 +74,25 @@ def test_cache_is_what_makes_the_blackout_survivable(comparison):
     assert uncached.served_stale == 0
     # Without a cache, blackout reads fail fast rather than hang.
     assert uncached.failed_disconnected + uncached.failed_timeout > 0
+
+
+def test_no_post_overtakes_the_backlog(monkeypatch):
+    """New writes queue behind a replay in progress, so the origin never
+    receives a version older than one it has already accepted.  (The
+    trials ``run_disconnected_comparison`` runs, in process.)"""
+    overtaken = []
+    post = WebServer._post
+
+    def checked_post(self, body):
+        if body["version"] < self.forms.get(body["form"], 0):
+            overtaken.append(body["version"])
+        return post(self, body)
+
+    monkeypatch.setattr(WebServer, "_post", checked_post)
+    for seed in range(5):
+        for cache_enabled in (True, False):
+            run_disconnected_trial(seed=seed, cache_enabled=cache_enabled)
+    assert overtaken == []
 
 
 def test_trials_are_deterministic():
