@@ -9,7 +9,6 @@ through :meth:`~repro.core.warden.Warden.resilient_fetch` and queue writes
 through :meth:`~repro.core.warden.Warden.tsop`.
 """
 
-from repro.connectivity.async_probe import AsyncHeartbeatProber
 from repro.connectivity.deferred import (
     DEFAULT_CAPACITY,
     DeferredOp,
@@ -37,3 +36,13 @@ __all__ = [
     "ReplayReport",
     "Transition",
 ]
+
+
+def __getattr__(name):
+    # Loaded on first use: the asyncio prober would otherwise pull asyncio
+    # into every simulator process.
+    if name == "AsyncHeartbeatProber":
+        from repro.connectivity.async_probe import AsyncHeartbeatProber
+
+        return AsyncHeartbeatProber
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

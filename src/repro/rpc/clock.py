@@ -15,10 +15,10 @@ over wall-clock time, so the arithmetic now goes through a clock object:
 :class:`RetrySchedule` is the shared driver state: one per operation,
 computing attempt timeouts and deadline checks identically on both clocks.
 The sim path's behaviour is unchanged to the byte — same reads of the
-same clock in the same order.
+same clock in the same order.  ``asyncio`` is imported only inside the
+wall-clock functions, so a simulator process never loads it.
 """
 
-import asyncio
 import time
 
 
@@ -48,10 +48,15 @@ class MonotonicClock:
 
     def sleep(self, seconds):
         """A coroutine: ``await clock.sleep(delay)``."""
+        import asyncio
+
         return asyncio.sleep(seconds)
 
 
 def _expire(future):
+    # asyncio.TimeoutError, not the builtin: they differ before 3.11.
+    import asyncio
+
     if not future.done():
         future.set_exception(asyncio.TimeoutError())
 

@@ -16,18 +16,19 @@ implementation", CACM 1988):
   order a heap would produce — FIFO among equal times included — and every
   seeded simulation stays byte-identical.
 
-Ring items are stored **key-negated**, as ``(-time, -sequence, payload,
-time)``: sorted ascending, the *last* element of a bucket is the earliest
-event, so the drain is ``bucket.pop()`` — an O(1) C call with no index
-bookkeeping and no consumed-prefix state, and a mid-drain ``peek`` is
-simply ``bucket[-1]``.  The fourth element repeats the time un-negated so
-consumers read it without allocating a fresh float per pop.  Items that
-land in the current, already-sorted bucket (zero-delay events are common:
-every process tick is one) are placed by ``bisect.insort``, which stays
-correct mid-drain because consumed items are physically gone.  The
-overflow heap keeps items in *positive* ``(time, sequence, payload)``
-form — ``heapq`` is a min-heap — and they are re-tupled into negated form
-when the horizon reaches them.
+The queue owns the sequence: a down-counting integer drawn once per push,
+so ring items are stored **key-negated** as ``(-time, seq, payload,
+time)`` with no per-push negation.  Sorted ascending, the *last* element
+of a bucket is the earliest event, so the drain is ``bucket.pop()`` — an
+O(1) C call with no index bookkeeping and no consumed-prefix state, and a
+mid-drain ``peek`` is simply ``bucket[-1]``.  The fourth element repeats
+the time un-negated so consumers read it without allocating a fresh float
+per pop.  Items that land in the current, already-sorted bucket
+(zero-delay events are common: every process tick is one) are placed by
+``bisect.insort``, which stays correct mid-drain because consumed items
+are physically gone.  The overflow heap keeps items in *positive*
+``(time, -seq, payload)`` form — ``heapq`` is a min-heap — and they are
+re-tupled into negated form when the horizon reaches them.
 
 Population accounting is deliberately lopsided: ``_count`` tracks every
 ring item **except those in the cursor's bucket**, whose population is
@@ -38,22 +39,20 @@ subtracting its length).  This also makes draining exception-safe with
 no ``finally`` bookkeeping: a callback that raises leaves the structure
 exactly consistent.
 
-The ring resizes itself: overflow pressure (more overflowed items than
-buckets) doubles the ring so the horizon grows to fit the workload, and a
-nearly-empty oversized ring is halved when the cursor jumps across idle
-time.  Both rebuild the ring in O(n) and are amortized over the pushes
-that caused them.  The bucket count is always a power of two (the
-constructor rounds up) so the ring index is a bit-mask, not a modulo.
+The ring never resizes: no simulated workload in this repo overflows it
+more than a handful of times per run, so the bucket lists are created
+once and a bucket handed out by ``_enter`` stays the live bucket however
+many pushes land while it drains.  The bucket count is a power of two
+(the constructor rounds up) so the ring index is a bit-mask, not a
+modulo.
 
-The kernel's ``timeout``/``schedule``/``run`` inline ``push`` and the
-bucket drain against ``_buckets``/``_count``/``_sorted`` directly — one
-call frame per event is measurable.  Everything outside ``repro.sim``
-should treat this class as: ``push``, ``pop``, ``peek``, ``__len__``,
-``clear``.
+``Simulator.run`` drains the bucket ``_enter`` returns in place; every
+other caller should treat this class as ``push``, ``pop``, ``peek``,
+``__len__`` and ``clear``.
 """
 
 from bisect import insort
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 from repro.errors import SimulationError
 
@@ -67,27 +66,18 @@ DEFAULT_WIDTH = 0.05
 #: the ring index is ``idx & (nbuckets - 1)``.
 DEFAULT_BUCKETS = 256
 
-#: Resize floor and ceiling.  The floor keeps degenerate test queues legal;
-#: the ceiling bounds memory for sims that schedule far into the future.
-MIN_BUCKETS = 4
-MAX_BUCKETS = 1 << 15
-
-#: Shrink when the ring is this many times larger than its population.
-_SHRINK_FACTOR = 8
-
 
 class CalendarQueue:
-    """Priority queue popping ``(time, sequence, payload)`` in key order.
+    """Priority queue popping ``(time, payload)`` in time order, FIFO
+    among equal times.
 
     ``width`` is the bucket granularity in simulated seconds; ``nbuckets``
-    the initial ring size (rounded up to a power of two).  Both only
-    affect speed, never pop order.  Times must be non-negative and
-    finite; sequence numbers unique and ascending in push order for FIFO
-    tie-break among equal times.
+    the ring size (rounded up to a power of two).  Both only affect
+    speed, never pop order.  Times must be non-negative and finite.
     """
 
     __slots__ = ("_buckets", "_nb", "_mask", "_width", "_inv", "_cur",
-                 "_count", "_over", "_sorted")
+                 "_count", "_over", "_sorted", "_seq")
 
     def __init__(self, width=DEFAULT_WIDTH, nbuckets=DEFAULT_BUCKETS):
         if width <= 0:
@@ -106,6 +96,7 @@ class CalendarQueue:
         self._count = 0       # ring items NOT in the cursor's bucket
         self._over = []       # positive-form heap of items past the horizon
         self._sorted = False  # cursor's bucket sorted?
+        self._seq = 0         # next FIFO sequence number, counting down
 
     def __len__(self):
         return (self._count + len(self._buckets[self._cur & self._mask])
@@ -125,58 +116,54 @@ class CalendarQueue:
 
     # -- producing ---------------------------------------------------------
 
-    def push(self, time, seq, payload):
-        """Add an item; ``time`` orders it, ``seq`` breaks ties FIFO.
-
-        Mirrored (with a down-counting sequence) by ``Simulator.timeout``
-        and ``Simulator.schedule`` — keep the three in sync.
-        """
+    def push(self, time, payload):
+        """Add ``payload`` at ``time``, after every item already at ``time``."""
+        seq = self._seq
+        self._seq = seq - 1
         idx = int(time * self._inv)
         cur = self._cur
         if idx > cur:
             # The common case — a future event — is the first branch taken:
             # within the horizon it is one append, past it one heappush.
             if idx - cur < self._nb:
-                self._buckets[idx & self._mask].append((-time, -seq, payload, time))
+                self._buckets[idx & self._mask].append((-time, seq, payload, time))
                 self._count += 1
             else:
-                heappush(self._over, (time, seq, payload))
-                if len(self._over) > self._nb and self._nb < MAX_BUCKETS:
-                    self._resize(self._nb * 2)
+                heappush(self._over, (time, -seq, payload))
         elif self._sorted:
             # The cursor's bucket (or, after float truncation at a bucket
-            # boundary, nominally before it — clamp; order is carried by
-            # the key, not the index).  A sorted bucket stays sorted via
-            # insort; consumed items are gone, so full-range bisect is
-            # correct even mid-drain.
-            insort(self._buckets[cur & self._mask], (-time, -seq, payload, time))
+            # boundary or a ``run(until=…)`` stop, nominally before it —
+            # clamp; order is carried by the key, not the index).  A sorted
+            # bucket stays sorted via insort; consumed items are gone, so
+            # full-range bisect is correct even mid-drain.
+            insort(self._buckets[cur & self._mask], (-time, seq, payload, time))
         else:
-            self._buckets[cur & self._mask].append((-time, -seq, payload, time))
+            self._buckets[cur & self._mask].append((-time, seq, payload, time))
 
     # -- consuming ---------------------------------------------------------
 
     def pop(self):
-        """Remove and return the least ``(time, seq, payload)``."""
+        """Remove and return the earliest ``(time, payload)``."""
         bucket = self._enter()
         if bucket is None:
             raise SimulationError("pop from an empty CalendarQueue")
         item = bucket.pop()
-        return item[3], -item[1], item[2]
+        return item[3], item[2]
 
     def peek(self):
-        """The least ``(time, seq, payload)`` without removing it."""
+        """The earliest ``(time, payload)`` without removing it."""
         bucket = self._enter()
         if bucket is None:
             return None
         item = bucket[-1]
-        return item[3], -item[1], item[2]
+        return item[3], item[2]
 
     def _enter(self):
         """Advance to the next non-empty bucket, sorted; ``None`` if empty.
 
         On return the least item is ``bucket[-1]``.  This is the only
-        place buckets are sorted, so the kernel's inlined drain can pop
-        from the bucket's tail between calls.
+        place buckets are sorted, so the kernel's drain can pop from the
+        bucket's tail between calls.
         """
         bucket = self._buckets[self._cur & self._mask]
         if bucket:
@@ -198,82 +185,23 @@ class CalendarQueue:
 
         Adopts the new cursor bucket: its items leave ``_count`` here, in
         one subtraction, so pushes into and pops out of the current bucket
-        never touch the counter.
+        never touch the counter.  Every overflowed item lies at least a
+        horizon past the cursor, so what the horizon now covers lands at
+        or after the cursor.
         """
         self._sorted = False
         if self._count:
             self._cur += 1
             self._count -= len(self._buckets[self._cur & self._mask])
-        elif self._over:
-            # The ring is idle: jump straight to the overflow's first
-            # bucket instead of stepping, and shrink an oversized ring
-            # while nothing is in flight.
-            self._cur = int(self._over[0][0] * self._inv)
-            target = self._nb
-            while (target > MIN_BUCKETS
-                   and len(self._over) * _SHRINK_FACTOR < target):
-                target //= 2
-            if target != self._nb:
-                self._resize(target)
-                return
         else:
-            self._cur += 1
-        over = self._over
-        if over:
-            # Redistribute every overflowed item the horizon now covers.
-            inv, cur, nb = self._inv, self._cur, self._nb
-            while over and int(over[0][0] * inv) - cur < nb:
-                time, seq, payload = heappop(over)
-                idx = int(time * inv)
-                if idx < cur:
-                    idx = cur
-                self._buckets[idx & self._mask].append((-time, -seq, payload, time))
-                if idx > cur:
-                    self._count += 1
-
-    # -- resizing ----------------------------------------------------------
-
-    def _resize(self, nbuckets):
-        """Rebuild the ring with ``nbuckets`` buckets.
-
-        Order is carried entirely by the item keys, so items may be
-        redistributed in any order — the entry sort restores the exact
-        global order.  The cursor's bucket is the exception: a push from
-        inside a callback can resize the ring while the kernel drains that
-        bucket, so it moves over as the same list, sortedness and all —
-        a copy would run its remaining items twice.
-        """
-        cur, inv = self._cur, self._inv
-        current = self._buckets[cur & self._mask]
-        ring = []
-        for bucket in self._buckets:
-            if bucket is not current:
-                ring.extend(bucket)
-        overflow = self._over
-        self._buckets = [[] for _ in range(nbuckets)]
-        self._nb = nbuckets
-        self._mask = nbuckets - 1
-        self._buckets[cur & self._mask] = current
-        self._count = 0
-        self._over = []
-        for item in ring:
-            idx = int(item[3] * inv)
-            if idx < cur:
-                idx = cur
-            if idx - cur < nbuckets:
-                self._buckets[idx & self._mask].append(item)
-                if idx > cur:
-                    self._count += 1
-            else:
-                self._over.append((item[3], -item[1], item[2]))
-        for time, seq, payload in overflow:
+            # The ring is idle: jump straight to the overflow's first
+            # bucket instead of stepping.
+            self._cur = int(self._over[0][0] * self._inv)
+        over, inv, cur = self._over, self._inv, self._cur
+        horizon = cur + self._nb
+        while over and int(over[0][0] * inv) < horizon:
+            time, seq, payload = heappop(over)
             idx = int(time * inv)
-            if idx < cur:
-                idx = cur
-            if idx - cur < nbuckets:
-                self._buckets[idx & self._mask].append((-time, -seq, payload, time))
-                if idx > cur:
-                    self._count += 1
-            else:
-                self._over.append((time, seq, payload))
-        heapify(self._over)
+            self._buckets[idx & self._mask].append((-time, -seq, payload, time))
+            if idx > cur:
+                self._count += 1

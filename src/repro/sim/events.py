@@ -84,11 +84,11 @@ class Event:
         """Trigger the event successfully with ``value`` after ``delay``."""
         if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay!r})")
+        # Scheduling first validates ``delay``: a rejected delay leaves the
+        # event pending.  Nothing is processed before the fields are set.
+        self.sim.schedule(self, delay)
         self._ok = True
         self._value = value
-        self.sim.schedule(self, delay)
         return self
 
     def fail(self, exception, delay=0.0):
@@ -102,11 +102,9 @@ class Event:
             raise TypeError(f"fail() needs an exception, got {exception!r}")
         if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay!r})")
+        self.sim.schedule(self, delay)  # validates first, as in succeed
         self._ok = False
         self._value = exception
-        self.sim.schedule(self, delay)
         return self
 
     def defuse(self):
@@ -144,16 +142,17 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` seconds after creation.
+    """An event that fires ``delay`` seconds after it is scheduled.
 
-    Processes obtain these via :meth:`Simulator.timeout`; yielding one
-    suspends the process for the given duration.
+    Processes obtain these via :meth:`Simulator.timeout`, which validates
+    ``delay``, builds the event through this constructor and queues it;
+    yielding one suspends the process for the given duration.
 
     This is the hottest allocation site in the kernel, so the constructor
     writes only the slots a live timeout can be asked for: a timeout is
     born triggered (``_ok`` true), never consults ``_defused`` (its
     ``_process`` cannot raise), and derives its label lazily in ``repr``.
-    ``Simulator.timeout`` inlines this body — keep them in sync.
+    It schedules nothing.
     """
 
     __slots__ = ("delay",)
@@ -163,14 +162,11 @@ class Timeout(Event):
     name = property(lambda self: None)
 
     def __init__(self, sim, delay, value=None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
         self.sim = sim
         self.delay = delay
         self.callbacks = None
         self._value = value
         self._ok = True
-        sim.schedule(self, delay)
 
     def __repr__(self):
         state = "processed" if self.callbacks is _PROCESSED else "ok"

@@ -5,26 +5,21 @@ events (:mod:`repro.sim.calqueue`).  ``run()`` pops events in (time,
 sequence) order and processes them; processing an event resumes any
 processes waiting on it.
 
-This module is the hot path under every figure in the paper — millions of
-events flow through ``run()`` per experiment — so the loop bodies drain
-the calendar queue's current bucket in place instead of dispatching
-through :meth:`step`, ``timeout()`` constructs its event without an extra
-``__init__`` frame, and scheduled calls carry their callback in slots
-instead of allocating a closure per call.  All scheduling funnels through
-:meth:`Simulator.schedule`, the one place an event meets the queue.
+Each hot path exists once: :meth:`CalendarQueue.push` is the only code
+that files an event, :meth:`Simulator.timeout` and
+:meth:`Simulator.schedule` are the only callers of it (every event passes
+through exactly one of them), ``Timeout.__init__`` is the only body that
+writes a timeout's slots, and ``run()`` has one drain loop that calls each
+event's own ``_process``.  Scheduled calls carry their callback in slots
+instead of allocating a closure per call.
 """
 
-from bisect import insort
-from heapq import heappush
-
 from repro.errors import SimulationError
-from repro.sim.calqueue import MAX_BUCKETS, CalendarQueue
+from repro.sim.calqueue import CalendarQueue
 from repro.sim.events import _PROCESSED, Event, Timeout
 from repro.sim.process import Process
 
-#: ``Timeout.__new__`` resolved once; a module global loads faster than a
-#: class-attribute lookup in the per-event allocation path.
-_timeout_new = Timeout.__new__
+_INF = float("inf")
 
 
 class _ScheduledCall(Timeout):
@@ -38,16 +33,9 @@ class _ScheduledCall(Timeout):
     __slots__ = ("_fn", "_args")
 
     def __init__(self, sim, delay, fn, args):
-        # Slot writes mirror Timeout.__init__ (keep in sync) without the
-        # extra frame; ``delay`` is already validated by ``call_at``.
-        self.sim = sim
-        self.delay = delay
-        self.callbacks = None
-        self._value = None
-        self._ok = True
+        Timeout.__init__(self, sim, delay)  # no super object per call
         self._fn = fn
         self._args = args
-        sim.schedule(self, delay)
 
     def _process(self):
         callbacks = self.callbacks
@@ -77,12 +65,11 @@ class Simulator:
         assert sim.now == 1.5 and proc.value == "done"
     """
 
-    __slots__ = ("_now", "_queue", "_seq")
+    __slots__ = ("_now", "_queue")
 
     def __init__(self):
         self._now = 0.0
         self._queue = CalendarQueue()
-        self._seq = 0
 
     @property
     def now(self):
@@ -98,40 +85,14 @@ class Simulator:
     def timeout(self, delay, value=None):
         """Create an event that fires ``delay`` seconds from now.
 
-        This is the kernel's hottest path — one call per simulated event —
-        so the body writes the slots directly instead of running
-        ``Timeout.__init__`` (the two must stay field-for-field identical)
-        and inlines the queue push instead of calling :meth:`schedule`
-        (the push must stay in sync with ``schedule`` and
-        ``CalendarQueue.push``): each avoided call frame is measurable on
-        every workload.
+        Pushes directly rather than through :meth:`schedule`: every event
+        passes through exactly one of the two, so a profile's call counts
+        of them count events.
         """
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
-        event = _timeout_new(Timeout)
-        event.sim = self
-        event.delay = delay
-        event.callbacks = None
-        event._value = value
-        event._ok = True
-        seq = self._seq
-        self._seq = seq - 1
-        queue = self._queue
-        time = self._now + delay
-        idx = int(time * queue._inv)
-        cur = queue._cur
-        if idx > cur:
-            if idx - cur < queue._nb:
-                queue._buckets[idx & queue._mask].append((-time, seq, event, time))
-                queue._count += 1
-            else:
-                heappush(queue._over, (time, -seq, event))
-                if len(queue._over) > queue._nb and queue._nb < MAX_BUCKETS:
-                    queue._resize(queue._nb * 2)
-        elif queue._sorted:
-            insort(queue._buckets[cur & queue._mask], (-time, seq, event, time))
-        else:
-            queue._buckets[cur & queue._mask].append((-time, seq, event, time))
+        if not 0 <= delay < _INF:
+            raise SimulationError(f"delay must be finite and >= 0, got {delay!r}")
+        event = Timeout(self, delay, value)
+        self._queue.push(self._now + delay, event)
         return event
 
     def process(self, generator, name=None):
@@ -143,41 +104,12 @@ class Simulator:
     def schedule(self, event, delay=0.0):
         """Queue a triggered ``event`` to be processed ``delay`` seconds on.
 
-        The scheduling entry point for every triggered event: ``succeed``,
-        ``fail``, and scheduled calls all land here, so ordering policy
-        (FIFO sequence tiebreak, via a down-counting sequence so negated
-        ring keys need no per-push negation) lives in one place —
-        :meth:`timeout` inlines this body for the same reason it inlines
-        the ``Timeout`` constructor.  Keep both in sync with
-        ``CalendarQueue.push``.
+        The entry point for every triggered event that is not a
+        :meth:`timeout`: ``succeed``, ``fail`` and scheduled calls.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay!r})")
-        seq = self._seq
-        self._seq = seq - 1
-        queue = self._queue
-        cur = queue._cur
-        if delay:
-            time = self._now + delay
-            idx = int(time * queue._inv)
-            if idx > cur:
-                if idx - cur < queue._nb:
-                    queue._buckets[idx & queue._mask].append(
-                        (-time, seq, event, time))
-                    queue._count += 1
-                else:
-                    heappush(queue._over, (time, -seq, event))
-                    if len(queue._over) > queue._nb and queue._nb < MAX_BUCKETS:
-                        queue._resize(queue._nb * 2)
-                return
-        else:
-            # Zero-delay events (every ``succeed``, every process tick)
-            # always land in the cursor's bucket; skip the index math.
-            time = self._now
-        if queue._sorted:
-            insort(queue._buckets[cur & queue._mask], (-time, seq, event, time))
-        else:
-            queue._buckets[cur & queue._mask].append((-time, seq, event, time))
+        if not 0 <= delay < _INF:
+            raise SimulationError(f"delay must be finite and >= 0, got {delay!r}")
+        self._queue.push(self._now + delay, event)
 
     def call_at(self, when, callback, *args):
         """Run ``callback(*args)`` at absolute time ``when``.
@@ -185,9 +117,10 @@ class Simulator:
         Returns the underlying event; triggering machinery is reused so the
         call is ordered deterministically with other events at ``when``.
         """
-        if when < self._now:
-            raise SimulationError(f"call_at({when!r}) is in the past (now={self._now!r})")
-        return _ScheduledCall(self, when - self._now, callback, args)
+        delay = when - self._now
+        event = _ScheduledCall(self, delay, callback, args)
+        self.schedule(event, delay)
+        return event
 
     def call_in(self, delay, callback, *args):
         """Run ``callback(*args)`` after ``delay`` seconds."""
@@ -205,9 +138,7 @@ class Simulator:
 
         Raises :class:`SimulationError` if the queue is empty.
         """
-        if not len(self._queue):
-            raise SimulationError("step() on an empty event queue")
-        self._now, _, event = self._queue.pop()
+        self._now, event = self._queue.pop()
         event._process()
 
     def run(self, until=None):
@@ -215,98 +146,42 @@ class Simulator:
 
         ``until`` may be:
 
-        - ``None`` — run to exhaustion;
-        - a number — advance to exactly that time (events at later times stay
-          queued and ``now`` is left equal to ``until``);
+        - ``None`` — run to exhaustion, leaving ``now`` at the last event;
+        - a finite number ``>= now`` — advance to exactly that time (events
+          at later times stay queued and ``now`` is left equal to
+          ``until``);
         - an :class:`Event` — run until that event has been processed, and
           return its value.
 
-        The loops below drain the calendar queue's current bucket in place
+        The loop drains the calendar queue's current bucket in place
         (``queue._enter`` hands back the bucket, sorted on negated keys so
-        the earliest event is last) instead of calling ``pop`` per event:
-        ``bucket.pop()`` is one O(1) C call, zero-delay events scheduled
-        by callbacks insort into the live bucket, and — because the
-        queue's ``_count`` excludes the cursor's bucket — no counter is
-        touched per event, so a propagating callback exception leaves the
-        queue exactly consistent.  Exact ``Timeout`` and ``_ScheduledCall``
-        instances (the overwhelming majority of events; neither can fail)
-        have their tri-state callback dispatch inlined, saving the
-        ``_process`` frame; every other event type dispatches virtually.
+        the earliest event is last): ``bucket.pop()`` is one O(1) C call,
+        zero-delay events scheduled by callbacks insort into the live
+        bucket, and — because the queue's ``_count`` excludes the cursor's
+        bucket — no counter is touched per event, so a propagating
+        callback exception leaves the queue exactly consistent.
         """
-        queue = self._queue
-        if until is None:
-            enter = queue._enter
-            timeout_cls, call_cls = Timeout, _ScheduledCall
-            while True:
-                bucket = enter()
-                if bucket is None:
-                    return None
-                pop = bucket.pop
-                while bucket:
-                    item = pop()
-                    self._now = item[3]
-                    event = item[2]
-                    if type(event) is timeout_cls:
-                        callbacks = event.callbacks
-                        event.callbacks = _PROCESSED
-                        if callbacks is not None:
-                            if type(callbacks) is list:
-                                for callback in callbacks:
-                                    callback(event)
-                            else:
-                                callbacks(event)
-                    elif type(event) is call_cls:
-                        callbacks = event.callbacks
-                        event.callbacks = _PROCESSED
-                        event._fn(*event._args)
-                        if callbacks is not None:
-                            if type(callbacks) is list:
-                                for callback in callbacks:
-                                    callback(event)
-                            else:
-                                callbacks(event)
-                    else:
-                        event._process()
         if isinstance(until, Event):
             return self._run_until_event(until)
-        deadline = float(until)
-        if deadline < self._now:
-            raise SimulationError(f"run(until={deadline!r}) is in the past (now={self._now!r})")
+        deadline = _INF if until is None else float(until)
+        if until is not None and not self._now <= deadline < _INF:
+            raise SimulationError(
+                f"run(until={until!r}) needs a finite time >= now ({self._now!r})")
         neg_deadline = -deadline
-        enter = queue._enter
-        while True:
-            bucket = enter()
-            if bucket is None or bucket[-1][0] < neg_deadline:
-                break
+        enter = self._queue._enter
+        while (bucket := enter()) is not None:
+            pop = bucket.pop
             while bucket:
-                item = bucket[-1]
+                item = pop()
                 if item[0] < neg_deadline:
+                    bucket.append(item)  # past the deadline: back on the tail
                     break
-                del bucket[-1]
                 self._now = item[3]
-                event = item[2]
-                if type(event) is Timeout:
-                    callbacks = event.callbacks
-                    event.callbacks = _PROCESSED
-                    if callbacks is not None:
-                        if type(callbacks) is list:
-                            for callback in callbacks:
-                                callback(event)
-                        else:
-                            callbacks(event)
-                elif type(event) is _ScheduledCall:
-                    callbacks = event.callbacks
-                    event.callbacks = _PROCESSED
-                    event._fn(*event._args)
-                    if callbacks is not None:
-                        if type(callbacks) is list:
-                            for callback in callbacks:
-                                callback(event)
-                        else:
-                            callbacks(event)
-                else:
-                    event._process()
-        self._now = deadline
+                item[2]._process()
+            if bucket:
+                break
+        if until is not None:
+            self._now = deadline
         return None
 
     def _run_until_event(self, event):
@@ -315,7 +190,7 @@ class Simulator:
         pop = self._queue.pop
         while not done:
             try:
-                self._now, _, popped = pop()
+                self._now, popped = pop()
             except SimulationError:
                 raise SimulationError(
                     f"queue drained before {event!r} was processed") from None

@@ -8,7 +8,7 @@ processes can wait on each other.
 """
 
 from repro.errors import ProcessInterrupt, SimulationError
-from repro.sim.events import _PENDING, Event, Timeout
+from repro.sim.events import _PENDING, Event
 
 
 class Process(Event):
@@ -37,7 +37,7 @@ class Process(Event):
         # matter within a time step.  A zero-delay timeout is born triggered,
         # so this allocates one slotted object and draws one sequence number
         # — and servers spawn a process per request, so this runs per-RPC.
-        start = Timeout(sim, 0.0)
+        start = sim.timeout(0.0)
         self._waiting_on = start
         start.add_callback(self._resume)
 
@@ -103,7 +103,7 @@ class Process(Event):
         if target is None:
             # "Yield to the scheduler": a zero-delay timeout, the cheapest
             # born-triggered event.
-            target = Timeout(self.sim, 0.0)
+            target = self.sim.timeout(0.0)
         if not isinstance(target, Event):
             self._step(throw=SimulationError(f"process yielded non-event {target!r}"))
             return

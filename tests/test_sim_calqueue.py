@@ -3,8 +3,10 @@
 The calendar queue replaced the kernel's binary heap; every seeded run
 staying byte-identical rests on the two structures agreeing on full
 ``(time, sequence)`` order — FIFO among duplicate timestamps included —
-through bucket wraps, overflow redistribution, ring growth and shrink,
-and zero-delay pushes into the bucket being drained.  The hypothesis
+through bucket wraps, overflow redistribution and idle-cursor jumps on
+a ring that never resizes, and zero-delay pushes into the bucket being
+drained.  The queue draws its own FIFO sequence, so the reference heap
+keys on push order.  The hypothesis
 suite drives both with the same interleaved operation sequences and
 asserts exact agreement at every step.
 """
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.calqueue import MIN_BUCKETS, CalendarQueue
+from repro.sim.calqueue import CalendarQueue
 
 # Times mixing a continuum with a handful of magnet values so duplicate
 # timestamps (the FIFO tiebreak) occur constantly, plus bucket-boundary
@@ -37,11 +39,10 @@ operations = st.lists(
 )
 
 # Geometries spanning the regimes: the kernel default; a ring so narrow
-# everything overflows and redistribution/growth carries the load; huge
-# buckets (everything lands in one, entry sort does the work); a
-# one-bucket ring (constructor rounds up to MIN_BUCKETS); a microscopic
-# width driving bucket indexes to ~5e7 so the horizon never covers the
-# workload without resizing.
+# everything overflows and redistribution carries the load; huge buckets
+# (everything lands in one, entry sort does the work); a one-bucket ring
+# (every future item overflows); a microscopic width driving bucket
+# indexes to ~5e7 so the horizon never covers the workload.
 geometries = st.sampled_from([
     (0.05, 256),
     (0.001, 4),
@@ -49,6 +50,11 @@ geometries = st.sampled_from([
     (0.05, 1),
     (1e-6, 2),
 ])
+
+
+def _entry(reference):
+    time, _, payload = reference
+    return time, payload
 
 
 @settings(max_examples=300, deadline=None)
@@ -60,20 +66,20 @@ def test_interleaved_ops_match_heap_reference(geometry, ops):
     seq = 0
     for op, time in ops:
         if op == "push":
-            queue.push(time, seq, f"item-{seq}")
+            queue.push(time, f"item-{seq}")
             heapq.heappush(heap, (time, seq, f"item-{seq}"))
             seq += 1
         elif op == "pop":
             if heap:
-                assert queue.pop() == heapq.heappop(heap)
+                assert queue.pop() == _entry(heapq.heappop(heap))
             else:
                 with pytest.raises(SimulationError):
                     queue.pop()
         else:
-            assert queue.peek() == (heap[0] if heap else None)
+            assert queue.peek() == (_entry(heap[0]) if heap else None)
         assert len(queue) == len(heap)
     while heap:
-        assert queue.pop() == heapq.heappop(heap)
+        assert queue.pop() == _entry(heapq.heappop(heap))
     assert queue.peek() is None
     assert len(queue) == 0
 
@@ -85,11 +91,10 @@ def test_drain_order_is_global_sort(geometry, batch):
     width, nbuckets = geometry
     queue = CalendarQueue(width=width, nbuckets=nbuckets)
     for seq, time in enumerate(batch):
-        queue.push(time, seq, seq)
+        queue.push(time, seq)
     drained = [queue.pop() for _ in range(len(batch))]
-    assert drained == sorted(drained)
     assert drained == sorted(
-        (time, seq, seq) for seq, time in enumerate(batch))
+        (time, seq) for seq, time in enumerate(batch))
 
 
 @settings(max_examples=100, deadline=None)
@@ -98,8 +103,8 @@ def test_drain_order_is_global_sort(geometry, batch):
 def test_duplicate_timestamps_pop_fifo(count, time):
     queue = CalendarQueue()
     for seq in range(count):
-        queue.push(time, seq, f"p{seq}")
-    assert [queue.pop()[2] for _ in range(count)] \
+        queue.push(time, f"p{seq}")
+    assert [queue.pop()[1] for _ in range(count)] \
         == [f"p{seq}" for seq in range(count)]
 
 
@@ -109,32 +114,40 @@ def test_zero_delay_push_mid_drain_lands_in_live_bucket():
     # the insort path), and must pop before anything later.
     queue = CalendarQueue()
     for seq in range(3):
-        queue.push(1.0, seq, f"old{seq}")
-    queue.push(2.0, 3, "later")
-    assert queue.pop() == (1.0, 0, "old0")
-    queue.push(1.0, 4, "echo")     # zero-delay relative to the pop
-    queue.push(0.5, 5, "past")     # behind the cursor: clamped, key-ordered
+        queue.push(1.0, f"old{seq}")
+    queue.push(2.0, "later")
+    assert queue.pop() == (1.0, "old0")
+    queue.push(1.0, "echo")     # zero-delay relative to the pop
+    queue.push(0.5, "past")     # behind the cursor: clamped, key-ordered
     assert [queue.pop() for _ in range(4)] == [
-        (0.5, 5, "past"), (1.0, 1, "old1"), (1.0, 2, "old2"),
-        (1.0, 4, "echo"),
+        (0.5, "past"), (1.0, "old1"), (1.0, "old2"), (1.0, "echo"),
     ]
-    assert queue.pop() == (2.0, 3, "later")
+    assert queue.pop() == (2.0, "later")
 
 
-def test_overflow_growth_then_idle_shrink():
+def test_far_items_overflow_a_fixed_ring_and_pop_in_order():
     queue = CalendarQueue(width=0.05, nbuckets=4)
-    nb_before = queue._nb
-    # Far beyond a 4-bucket horizon: pressure doubles the ring.
+    nb = queue._nb
+    # Far beyond a 4-bucket horizon, interleaved with near items and
+    # duplicate far times: everything far waits in the overflow heap.
     for seq in range(64):
-        queue.push(100.0 + seq, seq, seq)
-    assert queue._nb > nb_before
-    assert len(queue) == 64
-    drained = [queue.pop() for _ in range(64)]
-    assert drained == sorted(drained) and len({s for _, s, _ in drained}) == 64
-    # Cursor-jump across idle time with a near-empty queue shrinks back.
-    queue.push(1e6, 64, "lone")
-    assert queue.pop() == (1e6, 64, "lone")
-    assert queue._nb >= MIN_BUCKETS
+        queue.push(100.0 + (seq % 16), ("far", seq))
+        queue.push(0.01 * seq, ("near", seq))
+    assert len(queue._over) > nb and queue._nb == nb
+    assert len(queue) == 128
+    drained = []
+    while len(queue):
+        drained.append(queue.pop())
+        assert queue._nb == nb
+    expected = sorted(
+        [(0.01 * seq, 1, seq) for seq in range(64)]
+        + [(100.0 + (seq % 16), 2, seq) for seq in range(64)])
+    assert drained == [(time, ("near" if kind == 1 else "far", seq))
+                       for time, kind, seq in expected]
+    # An idle cursor jumps straight to a lone far item.
+    queue.push(1e6, "lone")
+    assert queue.pop() == (1e6, "lone")
+    assert queue._nb == nb and len(queue) == 0
 
 
 def test_geometry_validation():
@@ -148,10 +161,10 @@ def test_geometry_validation():
 def test_clear_keeps_geometry():
     queue = CalendarQueue(width=0.05, nbuckets=4)
     for seq in range(50):
-        queue.push(float(seq), seq, seq)
+        queue.push(float(seq), seq)
     nb = queue._nb
     queue.clear()
     assert len(queue) == 0 and queue.peek() is None
     assert queue._nb == nb
-    queue.push(0.25, 99, "fresh")
-    assert queue.pop() == (0.25, 99, "fresh")
+    queue.push(0.25, "fresh")
+    assert queue.pop() == (0.25, "fresh")
