@@ -11,12 +11,12 @@ from repro.rpc.logs import RpcLog
 from repro.sim.kernel import Simulator
 
 
-def _share_update_batch(connections, rechecked=0, **share_kwargs):
+def _share_update_batch(connections, rechecked=0):
     """A 200-step batch over ``connections`` live logs: each step is one
     delivery plus its throughput entry, then — like the viceroy's recheck —
     an ``availability`` query for each of ``rechecked`` connections."""
     sim = Simulator()
-    shares = ClientShares(sim, **share_kwargs)
+    shares = ClientShares(sim)
     logs = []
     for i in range(connections):
         log = RpcLog(sim, f"c{i}")
@@ -50,12 +50,12 @@ def test_share_update_throughput(benchmark):
 
 
 def test_share_update_throughput_128(benchmark):
-    """One shard of ``fleet_512``: 128 live connections on the batched
-    estimator, each entry followed by a 12-registration recheck.  The cost
-    per step must not depend on the 128 (tests/test_estimation_share.py
-    gates the query count; this gates the time, so a return of the
-    per-connection scan fails CI)."""
-    total = benchmark(_share_update_batch(128, rechecked=12, batched=True))
+    """One shard of ``fleet_512``: 128 live connections, each entry
+    followed by a 12-registration recheck.  The cost per step must not
+    depend on the 128 (tests/test_estimation_share.py gates the query
+    count; this gates the time, so a return of the per-connection scan
+    fails CI)."""
+    total = benchmark(_share_update_batch(128, rechecked=12))
     assert total and total > 0
 
 

@@ -11,10 +11,6 @@ Implements the viceroy's estimation machinery:
   estimated from *all* logs (aggregate bytes moved during each observed
   window), split per connection into a competed-for part proportional to
   recent use plus a fair-share lower bound.
-- :class:`BatchedEstimator` — the fleet-scale twin of :class:`EwmaFilter`:
-  one vectorized Eq. 1 step across every connection in a shard,
-  bit-identical to the scalar filter (numpy is scoped to this one module
-  and optional — without it the lanes fall back to scalar filters).
 - :mod:`repro.estimation.agility` — settling time, detection delay and
   tracking error: the metrics behind Figs. 8 and 9.
 
@@ -37,7 +33,6 @@ from repro.estimation.ewma import EwmaFilter
 from repro.estimation.share import ClientShares
 
 __all__ = [
-    "BatchedEstimator",
     "ClientShares",
     "ConnectionEstimator",
     "EwmaFilter",
@@ -47,14 +42,3 @@ __all__ = [
     "time_in_band",
     "tracking_error",
 ]
-
-
-def __getattr__(name):
-    # Loaded on first use: a process that never batches (a live broker,
-    # the single-connection figures) then never imports numpy — 13 MB of
-    # resident memory and 0.1 s of start-up.
-    if name == "BatchedEstimator":
-        from repro.estimation.batch import BatchedEstimator
-
-        return BatchedEstimator
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

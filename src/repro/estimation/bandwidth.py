@@ -44,7 +44,7 @@ class ConnectionEstimator:
     def __init__(self, sim, connection_id=None,
                  rtt_gain=RTT_GAIN, throughput_gain=THROUGHPUT_GAIN,
                  rtt_rise_cap=RTT_RISE_CAP, eq2_rtt="base",
-                 aggregate_own_log=True, batch=None):
+                 aggregate_own_log=True):
         if eq2_rtt not in ("base", "smoothed"):
             raise ValueError(f"eq2_rtt must be 'base' or 'smoothed', got {eq2_rtt!r}")
         self.sim = sim
@@ -59,23 +59,13 @@ class ConnectionEstimator:
         #: each window in isolation, so a pipelined endpoint undercounts.
         self.aggregate_own_log = aggregate_own_log
         self.rtt_filter = EwmaFilter(rtt_gain, rise_cap=rtt_rise_cap)
-        self._history = []  # (time, bandwidth estimate)
+        self.bandwidth_filter = EwmaFilter(throughput_gain)
+        #: (time, bandwidth estimate) pairs, one per throughput window.
+        self.history = []
         # (time, raw sample), samples increasing from head to tail: an
         # entry that a later one undercuts can never again be the minimum
         # and is dropped on arrival, so the head *is* the minimum.
         self._rtt_window = deque()
-        # ``batch`` (a repro.estimation.batch.BatchedEstimator sharing this
-        # estimator's throughput gain) moves the Eq. 1 throughput filter
-        # into a vectorized lane: updates are deferred and folded across
-        # the whole shard in array ops, bit-identical to the scalar filter.
-        # The RTT side stays scalar — its windowed minimum is read on
-        # every Eq. 2 sample, so there is nothing to defer.
-        if batch is None:
-            self.bandwidth_filter = EwmaFilter(throughput_gain)
-            self._lane = None
-        else:
-            self.bandwidth_filter = batch.add_lane(history=self._history)
-            self._lane = self.bandwidth_filter
 
     @property
     def round_trip(self):
@@ -100,17 +90,6 @@ class ConnectionEstimator:
     def bandwidth(self):
         """Smoothed bandwidth estimate in bytes/s, or None before any sample."""
         return self.bandwidth_filter.value
-
-    @property
-    def history(self):
-        """(time, bandwidth estimate) pairs, one per throughput window.
-
-        Under a batched lane the pairs materialize at flush time, so the
-        lane is flushed before the list is handed out.
-        """
-        if self._lane is not None:
-            self._lane.flush()
-        return self._history
 
     def on_round_trip(self, log, entry):
         """Absorb a round-trip log entry."""
@@ -137,17 +116,10 @@ class ConnectionEstimator:
                           sample=entry.seconds, estimate=self.round_trip)
 
     def on_throughput(self, log, entry):
-        """Absorb a throughput log entry; returns the new estimate.
-
-        Under a batched lane the estimate is deferred and ``None`` is
-        returned — unless telemetry is live, which forces the fold so the
-        gauge carries the post-sample value.
-        """
+        """Absorb a throughput log entry; returns the new estimate."""
         estimate, sample = self._absorb_throughput(log, entry)
         rec = telemetry.RECORDER
         if rec.enabled:
-            if estimate is None:
-                estimate = self.bandwidth_filter.value  # flushes the lane
             span = rec.begin("estimator.update", connection=self.connection_id)
             rec.gauge("estimation.bandwidth_bytes_per_s", estimate,
                       connection=self.connection_id)
@@ -159,17 +131,11 @@ class ConnectionEstimator:
         """The uninstrumented Eq. 1/2 update; returns (estimate, sample).
 
         Kept separate from :meth:`on_throughput` so the telemetry overhead
-        benchmark can time the pure computation as its baseline.  With a
-        batched lane the Eq. 1 fold (and the history append) is deferred
-        to the next vectorized flush and the estimate slot is ``None``.
+        benchmark can time the pure computation as its baseline.
         """
         sample = self.bandwidth_sample(entry, log)
-        lane = self._lane
-        if lane is not None:
-            lane.defer(self.sim.now, sample)
-            return None, sample
         estimate = self.bandwidth_filter.update(sample)
-        self._history.append((self.sim.now, estimate))
+        self.history.append((self.sim.now, estimate))
         return estimate, sample
 
     def bandwidth_sample(self, entry, log=None):

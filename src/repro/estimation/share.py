@@ -52,8 +52,7 @@ class ClientShares:
 
     def __init__(self, sim, gain=THROUGHPUT_GAIN, usage_horizon=USAGE_HORIZON,
                  fair_fraction=FAIR_FRACTION, competing_horizon=COMPETING_HORIZON,
-                 competing_rate_floor=COMPETING_RATE_FLOOR, estimator_kwargs=None,
-                 batched=False):
+                 competing_rate_floor=COMPETING_RATE_FLOOR, estimator_kwargs=None):
         if not 0 < fair_fraction <= 1:
             raise ReproError(f"fair_fraction must be in (0, 1], got {fair_fraction!r}")
         # Beyond the retention a horizon reads history already pruned, and
@@ -85,16 +84,6 @@ class ClientShares:
         #: Forwarded to each ConnectionEstimator (ablation studies vary
         #: gains and the rise cap here).
         self.estimator_kwargs = estimator_kwargs or {}
-        #: With ``batched=True`` every connection's Eq. 1 throughput filter
-        #: becomes a lane of one shared vectorized estimator (numpy-backed
-        #: where available, bit-identical either way) — the fleet shards
-        #: enable this; the figure experiments keep the scalar reference.
-        self._batch = None
-        if batched:
-            from repro.estimation.batch import BatchedEstimator
-
-            self._batch = BatchedEstimator(
-                self.estimator_kwargs.get("throughput_gain", THROUGHPUT_GAIN))
 
     # -- registration ---------------------------------------------------------
 
@@ -104,8 +93,7 @@ class ClientShares:
             raise ReproError(f"connection {log.connection_id!r} already registered")
         self._logs[log.connection_id] = log
         self._estimators[log.connection_id] = ConnectionEstimator(
-            self.sim, log.connection_id, batch=self._batch,
-            **self.estimator_kwargs
+            self.sim, log.connection_id, **self.estimator_kwargs
         )
         log.shared_deliveries = self._deliveries
         if log.delivered_total:  # arrives with history to merge in
@@ -113,11 +101,6 @@ class ClientShares:
 
     def unregister(self, connection_id):
         """Stop tracking a connection."""
-        if self._batch is not None:
-            # Fold the departing connection's deferred samples while its
-            # lane is still the estimator's; the lane itself is retired
-            # (lanes are append-only) and simply never updated again.
-            self._batch.flush()
         log = self._logs.pop(connection_id, None)
         self._estimators.pop(connection_id, None)
         if log is not None and log.shared_deliveries is self._deliveries:

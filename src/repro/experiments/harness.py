@@ -48,8 +48,7 @@ class ExperimentWorld:
     """Simulator + modulated network + viceroy, ready for apps and servers."""
 
     def __init__(self, waveform, policy="odyssey", prime=PRIME_SECONDS, seed=0,
-                 upcall_batch=False, connectivity=None,
-                 batched_estimation=False):
+                 upcall_batch=False, connectivity=None):
         if isinstance(waveform, ReplayTrace):
             trace = waveform
         else:
@@ -67,11 +66,6 @@ class ExperimentWorld:
         # schedule.
         upcalls = UpcallDispatcher(self.sim, batch=True) if upcall_batch \
             else None
-        # ``batched_estimation`` backs the odyssey policy's per-connection
-        # throughput filters with one vectorized lane batch (bit-identical
-        # to the scalar filters); the fleet worlds turn it on, the figure
-        # experiments keep the scalar reference path.
-        self.batched_estimation = batched_estimation
         # ``connectivity`` forwards hysteresis overrides (degrade_after /
         # disconnect_after / recover_after) to every tracker this world's
         # viceroy creates; chaos worlds tighten them so a storm shorter
@@ -90,7 +84,7 @@ class ExperimentWorld:
 
     def _make_policy(self, name):
         if name == "odyssey":
-            return OdysseyPolicy(batched=self.batched_estimation)
+            return OdysseyPolicy()
         if name == "laissez-faire":
             return LaissezFairePolicy()
         if name == "blind-optimism":

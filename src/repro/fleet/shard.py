@@ -130,11 +130,6 @@ def build_shard_world(clients, duration, policy="odyssey", family="urban",
     world = ExperimentWorld(
         trace, policy=policy, prime=prime, seed=seed, upcall_batch=True,
         connectivity=CHAOS_CONNECTIVITY if chaos is not None else None,
-        # Per-connection Eq. 1 folds vectorize across the whole shard
-        # (bit-identical to the scalar filters — the fleet fingerprints
-        # gate this); only meaningful under the odyssey policy, harmless
-        # under the baselines.
-        batched_estimation=True,
     )
     world.shard_chaos = shard_chaos
     servers = []

@@ -31,6 +31,8 @@ The bulk-transfer half of the live stack (``__open__`` +
 :mod:`repro.live.bulk` and is mixed into :class:`LiveBroker` here.
 """
 
+import math
+
 from repro import telemetry
 from repro.broker.server import Broker
 from repro.errors import BrokerError
@@ -46,6 +48,17 @@ BANDWIDTH_RESOURCE = "bandwidth"
 #: Modeled wire sizes for reported round trips (the live client reports
 #: elapsed seconds; the log entry's byte fields only feed diagnostics).
 REPORTED_CALL_BYTES = 256
+
+
+def _sample(body, key):
+    """``body[key]`` as a float if it is a finite real number >= 0, else
+    ValueError (OverflowError for an int too large to be a float)."""
+    value = body[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not 0 <= float(value) < math.inf:
+        raise ValueError(f"{key!r} must be a finite number >= 0, "
+                         f"got {value!r}")
+    return float(value)
 
 
 class WallSim:
@@ -113,6 +126,10 @@ class LiveViceroy:
           arrived (one bulk fragment), the aggregate-capacity raw signal;
         - ``{"kind": "throughput", "seconds": t, "nbytes": n}`` — one
           completed bulk window: n bytes over t seconds, the W/T of Eq. 2.
+
+        Every field must be a finite number >= 0 (bools refused): a NaN or
+        infinity never leaves an Eq. 1 average, so one such sample would
+        poison the shared total — every client's split — for good.
         """
         log = self._logs.get(name)
         if log is None:
@@ -120,12 +137,12 @@ class LiveViceroy:
         kind = body.get("kind")
         try:
             if kind == "round_trip":
-                log.add_round_trip(float(body["seconds"]),
+                log.add_round_trip(_sample(body, "seconds"),
                                    REPORTED_CALL_BYTES, REPORTED_CALL_BYTES)
             elif kind == "delivery":
-                log.add_delivery(int(body["nbytes"]))
+                log.add_delivery(int(_sample(body, "nbytes")))
             elif kind == "throughput":
-                seconds = float(body["seconds"])
+                seconds = _sample(body, "seconds")
                 if seconds <= 0:
                     raise BrokerError(
                         f"throughput sample needs positive seconds, "
@@ -133,10 +150,10 @@ class LiveViceroy:
                 # The log computes T as now - started; the client measured
                 # T directly, so anchor the window back from its arrival.
                 log.add_throughput(self.wall_sim.now - seconds,
-                                   int(body["nbytes"]))
+                                   int(_sample(body, "nbytes")))
             else:
                 raise BrokerError(f"unknown report kind {kind!r}")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise BrokerError(f"malformed {kind!r} report: {exc}") from exc
         self.reports_absorbed += 1
         return self.availability(name)

@@ -17,6 +17,14 @@ def test_first_sample_initializes():
     assert filt.value == 10
 
 
+def test_initial_seed_primes_without_an_update():
+    filt = EwmaFilter(0.5, initial=42.0)
+    assert filt.primed
+    assert filt.value == 42.0
+    assert filt.updates == 0
+    assert filt.update(10.0) == 0.5 * 10.0 + 0.5 * 42.0
+
+
 def test_equation_one_weighting():
     filt = EwmaFilter(0.875, initial=40.0)
     assert filt.update(120.0) == pytest.approx(0.875 * 120 + 0.125 * 40)

@@ -152,6 +152,58 @@ def test_estimation_report_returns_the_availability():
     assert reply["upcalls"] == 0
 
 
+HOSTILE_SAMPLES = {
+    "rtt-negative": {"kind": "round_trip", "seconds": -1},
+    "rtt-nan": {"kind": "round_trip", "seconds": "nan"},
+    "rtt-bool": {"kind": "round_trip", "seconds": True},
+    "delivery-negative": {"kind": "delivery", "nbytes": -5},
+    "delivery-bool": {"kind": "delivery", "nbytes": True},
+    "delivery-overflow": {"kind": "delivery", "nbytes": 10**400},
+    "throughput-nan": {"kind": "throughput", "seconds": "nan",
+                       "nbytes": 1_000},
+    "throughput-inf": {"kind": "throughput", "seconds": "inf",
+                       "nbytes": 1_000},
+    "throughput-negative": {"kind": "throughput", "seconds": 1.0,
+                            "nbytes": -5},
+    "throughput-string": {"kind": "throughput", "seconds": 1.0,
+                          "nbytes": "1e9"},
+}
+
+
+@pytest.mark.parametrize("body", HOSTILE_SAMPLES.values(),
+                         ids=HOSTILE_SAMPLES.keys())
+def test_hostile_estimation_sample_is_refused_and_the_total_holds(body):
+    """A sample no Eq. 1 filter can absorb gets a BrokerError reply; the
+    session lives on and every client's estimate is untouched."""
+
+    async def scenario():
+        broker = await start_live_broker()
+        alpha = await connect(broker, "alpha")
+        beta = await connect(broker, "beta")
+        try:
+            for client in (alpha, beta):
+                await client.call(REPORT_OP, {
+                    "kind": "throughput", "seconds": 1.0, "nbytes": 50_000,
+                })
+            before = broker.describe()["estimation"]["total"]
+            with pytest.raises(RemoteCallError, match="BrokerError"):
+                await asyncio.wait_for(alpha.call(REPORT_OP, body), 5.0)
+            after = broker.describe()["estimation"]["total"]
+            # The session survived: its next honest sample still lands.
+            reply = await asyncio.wait_for(alpha.call(REPORT_OP, {
+                "kind": "throughput", "seconds": 1.0, "nbytes": 50_000,
+            }), 5.0)
+            return before, after, reply["level"]
+        finally:
+            await alpha.close()
+            await beta.close()
+            await broker.close()
+
+    before, after, level = run(scenario())
+    assert after == before
+    assert 0 < level < float("inf")
+
+
 def test_window_violation_pushes_an_upcall_to_the_owner():
     async def scenario():
         broker = await start_live_broker()

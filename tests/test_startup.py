@@ -1,9 +1,12 @@
-"""What a simulator process loads at start-up.
+"""What a simulator process loads at start-up and while it runs.
 
 Every fig8 / fig14 / fleet / chaos worker imports the experiment modules
 below and nothing from the live stack, so none of them may pull in
-``asyncio`` (10–30 ms per fresh interpreter).  The import runs in a fresh
-interpreter because this test process has long since loaded it.
+``asyncio`` (10–30 ms per fresh interpreter).  Nor may running a fleet
+shard pull in ``numpy``: every path folds Eq. 1 through the scalar
+``EwmaFilter``, and numpy would cost 13 MB of resident memory per worker.
+Each probe runs in a fresh interpreter because this test process has long
+since loaded both.
 """
 
 import os
@@ -21,10 +24,25 @@ SIM_MODULES = (
 )
 
 
-def test_simulator_modules_do_not_import_asyncio():
-    probe = (f"import sys; import {', '.join(SIM_MODULES)}; "
-             "print('asyncio' in sys.modules)")
+def probe(code):
+    """Run ``code`` in a fresh interpreter over ``src``; return its stdout."""
     result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True,
+        [sys.executable, "-c", code], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip()
+
+
+def test_simulator_modules_do_not_import_asyncio():
+    out = probe(f"import sys; import {', '.join(SIM_MODULES)}; "
+                "print('asyncio' in sys.modules)")
+    assert out == "False"
+
+
+def test_fleet_shard_run_loads_neither_asyncio_nor_numpy():
+    out = probe(
+        "import sys\n"
+        "from repro.fleet.shard import run_fleet_shard\n"
+        "result = run_fleet_shard(clients=8, duration=5.0, seed=3)\n"
+        "assert sum(r.chunks for r in result.records) > 0\n"
+        "print(sorted(m for m in ('asyncio', 'numpy') if m in sys.modules))\n")
+    assert out == "[]"
