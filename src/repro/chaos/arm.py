@@ -95,7 +95,8 @@ class ChaosController:
         violations = self.auditor.finish(end)
         lost = sum(1 for v in violations if v.invariant == "deferred-ops")
         wardens = self.world.viceroy._distinct_wardens()
-        floors = [client.min_fidelity(start, end) for client in self.fleet]
+        floors = [client.core.min_fidelity(start, end)
+                  for client in self.fleet]
         return ChaosShardStats(
             profile=self.profile_name,
             blackouts=len(self.shard_chaos.blackouts),

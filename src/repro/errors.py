@@ -68,6 +68,11 @@ class ToleranceError(OdysseyError):
         self.available = available
 
 
+class NegotiationError(OdysseyError):
+    """A fidelity ladder ran out of rungs to ask for: re-anchoring on the
+    reported availability would request a rung already refused."""
+
+
 class Disconnected(OdysseyError):
     """A fetch could not be served while its connection is disconnected.
 

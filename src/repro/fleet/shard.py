@@ -197,15 +197,15 @@ def run_fleet_shard(clients, duration, policy="odyssey", family="urban",
     records = tuple(
         ClientRecord(
             name=client.name,
-            bytes=client.bytes_consumed,
-            chunks=client.chunks,
-            stalls=client.stalls,
-            failures=client.failures,
-            mean_latency=client.mean_latency,
-            max_latency=client.latency_max,
-            mean_fidelity=client.mean_fidelity(start, end),
-            upcalls=client.upcalls_received,
-            renegotiations=client.renegotiations,
+            bytes=client.core.bytes_fetched,
+            chunks=client.core.chunks,
+            stalls=client.core.stalls,
+            failures=client.core.failures,
+            mean_latency=client.core.mean_latency,
+            max_latency=client.core.latency_max,
+            mean_fidelity=client.core.mean_fidelity(start, end),
+            upcalls=client.core.upcalls_received,
+            renegotiations=client.core.renegotiations,
         )
         for client in fleet
     )

@@ -34,7 +34,6 @@ from repro.live.viceroy import (
 from repro.live.warden import (
     FidelityProfile,
     LiveWarden,
-    PROFILES,
     video_profile,
     web_profile,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "DEFAULT_FRAGMENT_BYTES",
     "DEFAULT_WINDOW_BYTES",
     "OPEN_OP",
-    "PROFILES",
     "BulkReceiver",
     "BulkServerMixin",
     "FidelityProfile",

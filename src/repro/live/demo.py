@@ -159,17 +159,14 @@ async def run_live_demo(clients=4, seconds=3.0,
 
 
 def _tail_fidelity(warden, on_transition):
-    """Wrap the warden's fidelity logger to narrate changes live."""
-    inner = warden._set_fidelity
+    """Chain onto the warden's fidelity-change hook to narrate live."""
+    inner = warden.core.on_fidelity
 
-    def narrate(level):
-        before = warden.fidelity
-        inner(level)
-        if warden.fidelity != before:
-            at, fraction, rung = warden.fidelity_log[-1]
-            on_transition(warden.name, at, fraction, rung)
+    def narrate(at, level):
+        inner(at, level)
+        on_transition(warden.name, at, level, warden.profile.name_of(level))
 
-    warden._set_fidelity = narrate
+    warden.core.on_fidelity = narrate
 
 
 def format_live_report(report):

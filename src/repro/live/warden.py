@@ -1,31 +1,18 @@
 """The live warden: an app's adaptive loop speaking ``BrokerClient``.
 
-The sim wardens (video, web, ...) talk to the viceroy through an
-in-process :class:`~repro.rpc.connection.RpcConnection`.
-:class:`LiveWarden` is the adapter that puts the same adaptation
-contract on a real socket:
-
-- **fidelity ladder** — a :class:`FidelityProfile` built from the app
-  wardens' own tables (:data:`~repro.apps.video.warden.VideoWarden.FIDELITIES`,
-  the web cellophane's distillation levels), with the fleet client's
-  guard-banded tolerance windows around each rung;
-- **negotiation** — ``__request__`` windows against the live broker;
-  a structured rejection carries the available level, so the warden
-  re-requests around a fitting rung without string-matching error text;
-- **violation upcalls** — fidelity follows the upcall's level
-  immediately, the re-registration RPC waits for the next chunk boundary
-  (the fleet client's anti-storm discipline);
-- **data plane** — paced chunk fetches through
-  :class:`~repro.live.bulk.BulkReceiver`, whose delivery receipts and
-  per-window ``__report__`` samples are what feed the broker's estimate;
-- **disconnected handoff** — an
-  :class:`~repro.connectivity.AsyncHeartbeatProber` keeps probe evidence
-  flowing into the client's
-  :class:`~repro.connectivity.ConnectivityTracker`; when the tracker
-  declares the link offline the warden stops touching the network and
-  serves stale chunks from its :class:`~repro.core.warden.WardenCache`,
-  and the RECONNECTING -> CONNECTED recovery triggers re-registration
-  (reintegration) before fetching resumes.
+The adaptation contract — ladder, windows, upcall and rejection rules,
+pacing, QoE counters — is the :class:`~repro.core.adaptive.AdaptiveClient`
+the sim fleet client also drives; :class:`LiveWarden` is its asyncio
+shell.  It runs the core's cancel / ``__request__`` steps against the
+live broker (a structured rejection carries the available level), fetches
+paced chunks through :class:`~repro.live.bulk.BulkReceiver`, whose
+receipts and ``__report__`` samples feed the broker's estimate, and hands
+off to disconnected mode: while the
+:class:`~repro.connectivity.ConnectivityTracker` (fed by an
+:class:`~repro.connectivity.AsyncHeartbeatProber`) says offline, it
+serves stale chunks from a :class:`~repro.core.warden.WardenCache`; the
+RECONNECTING -> CONNECTED recovery makes the core replace its window
+before fetching resumes.
 """
 
 from repro import telemetry
@@ -35,15 +22,15 @@ from repro.broker.client import BrokerClient
 from repro.broker.server import REPORT_OP, REQUEST_OP
 from repro.connectivity import AsyncHeartbeatProber
 from repro.connectivity.state import ConnState
-from repro.core.ladder import FidelityLadder
+from repro.core.adaptive import CANCEL, AdaptiveClient
 from repro.core.warden import WardenCache
 from repro.errors import (
     BrokerError,
+    NegotiationError,
     RemoteCallError,
     RpcTimeout,
     TransportError,
 )
-from repro.fleet.client import DOWNGRADE_GUARD, UPGRADE_MARGIN
 from repro.live.bulk import BulkReceiver
 
 #: Defaults sized for a demo that must adapt within seconds: small chunks
@@ -98,11 +85,23 @@ def web_profile():
         "web", {name: level for level, (name, _) in WEB_IMAGE_LEVELS.items()})
 
 
-PROFILES = {"video": video_profile, "web": web_profile}
+def _from_core(name):
+    """A read-only warden attribute that is the core's ``name``."""
+    return property(lambda self: getattr(self.core, name),
+                    doc=f"The adaptive core's ``{name}``.")
 
 
 class LiveWarden:
     """One adaptive application loop over a live broker connection."""
+
+    #: What ``describe()``, the demo and ``bench/`` read off a warden.
+    fidelity = _from_core("fidelity")
+    fidelity_changes = _from_core("fidelity_changes")
+    upcalls_received = _from_core("upcalls_received")
+    renegotiations = _from_core("renegotiations")
+    chunks = _from_core("chunks")
+    bytes_fetched = _from_core("bytes_fetched")
+    stalls = _from_core("stalls")
 
     def __init__(self, host, port, name, profile=None,
                  chunk_bytes=DEFAULT_CHUNK_BYTES, period=DEFAULT_PERIOD,
@@ -111,13 +110,12 @@ class LiveWarden:
                  probe_interval=None, clock=None):
         self.profile = profile or video_profile()
         self.name = name
-        self.chunk_bytes = chunk_bytes
-        self.period = period
         self.window_bytes = window_bytes
         self.fragment_bytes = fragment_bytes
         self.probe_interval = probe_interval
-        self.ladder = FidelityLadder(self.profile.levels, self.demand,
-                                     UPGRADE_MARGIN, DOWNGRADE_GUARD)
+        self.core = AdaptiveClient(self.profile.levels, chunk_bytes, period,
+                                   min_fetch=min(MIN_PROBE_BYTES, chunk_bytes))
+        self.core.on_fidelity = self._fidelity_changed
         self.client = BrokerClient(host, port, name, clock=clock)
         self.clock = self.client.clock
         self.receiver = BulkReceiver(self.client)
@@ -125,41 +123,21 @@ class LiveWarden:
                                  clock=self.clock.now, name=name)
         self.prober = None
         self.transfer_id = None
-        self.request_id = None
-        self.fidelity = self.profile.levels[-1]  # optimistic, like the paper
-        self.fidelity_log = []  # (time, fraction, name)
         self.connectivity_log = []  # Transition records
-        self.upcalls_received = 0
-        self.renegotiations = 0
-        self.rejections = 0
-        self.chunks = 0
-        self.bytes_fetched = 0
-        self.stalls = 0
-        self.failures = 0
         self.cache_chunks = 0  # chunks served stale while offline
-        self.reintegrations = 0
-        self._needs_register = False
-        self._pending_level = None
-        self._log_fidelity(self.fidelity)
 
-    # -- the fleet client's ladder, on profile fractions ---------------------
+    @property
+    def fidelity_log(self):
+        """``(time, fraction, rung name)`` at each fidelity change."""
+        name_of = self.profile.name_of
+        return [(at, level, name_of(level))
+                for at, level in self.core.fidelity_log]
 
-    def demand(self, fidelity):
-        """Bandwidth (bytes/s) one chunk cadence consumes at ``fidelity``."""
-        return fidelity * self.chunk_bytes / self.period
-
-    def _log_fidelity(self, level):
-        self.fidelity = level
-        self.fidelity_log.append(
-            (self.clock.now(), level, self.profile.name_of(level)))
-
-    def _set_fidelity(self, level):
-        if level != self.fidelity:
-            self._log_fidelity(level)
-            rec = telemetry.RECORDER
-            if rec.enabled:
-                rec.count("live.fidelity_changes", client=self.name,
-                          level=self.profile.name_of(level))
+    def _fidelity_changed(self, at, level):
+        rec = telemetry.RECORDER
+        if rec.enabled:
+            rec.count("live.fidelity_changes", client=self.name,
+                      level=self.profile.name_of(level))
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -177,7 +155,8 @@ class LiveWarden:
         # One endless source blob; chunks are windows into it.
         self.transfer_id = await self.receiver.open(
             f"{self.profile.app}/{self.name}", 1 << 40)
-        await self._register(level_hint=None)
+        self.core.join(None)  # optimistic, like the paper
+        await self._negotiate()
         return self
 
     async def stop(self):
@@ -187,79 +166,64 @@ class LiveWarden:
 
     # -- negotiation ---------------------------------------------------------
 
-    async def _register(self, level_hint):
-        """Register a window around the best rung for ``level_hint``.
-
-        A structured rejection (the live broker's ToleranceError twin)
-        re-anchors on the broker's reported availability; each retry can
-        only move down a finite ladder, so the loop terminates.
-        """
-        level = self.ladder.best(level_hint)
-        for _ in range(len(self.profile.levels) + 1):
-            lower, upper = self.ladder.window(level)
+    async def _negotiate(self):
+        """Carry out the core's registration steps against the broker."""
+        core = self.core
+        while (step := core.negotiation(self.clock.now())) is not None:
+            action, arg = step
+            if action == CANCEL:
+                try:
+                    await self.client.cancel(arg)
+                except RemoteCallError as err:
+                    # An upcall for this window raced the cancel: gone.
+                    if not err.message.startswith("no registered request"):
+                        raise
+                core.cancelled()
+                continue
+            lower, upper = arg
             reply = await self.client.call(REQUEST_OP, {
                 "resource": "bandwidth", "lower": lower, "upper": upper,
             })
-            if not reply.get("rejected"):
-                self.request_id = reply["request_id"]
-                self._set_fidelity(level)
-                return
-            self.rejections += 1
-            level = self.ladder.best(reply["available"])
-        raise BrokerError(f"{self.name}: could not place a window on the "
-                          f"ladder {self.profile.levels}")
+            if reply.get("rejected"):
+                core.rejected(reply["available"])
+            else:
+                core.accepted(reply["request_id"])
 
     def _on_upcall(self, body):
-        """Window violated: adapt now, re-register at the chunk boundary."""
-        self.upcalls_received += 1
-        level = body.get("level")
-        self._pending_level = level
-        self._needs_register = True
-        self.request_id = None  # one-shot: the broker already dropped it
-        if level is not None:
-            self._set_fidelity(self.ladder.best(level))
+        self.core.upcall(body.get("request_id"), body.get("level"),
+                         self.clock.now())
 
     def _on_connectivity(self, transition):
         self.connectivity_log.append(transition)
         if (transition.source is ConnState.RECONNECTING
                 and transition.target is ConnState.CONNECTED):
-            # Reintegration: the window registered before the outage may
-            # be gone (or stale); negotiate afresh before fetching.
-            self.reintegrations += 1
-            self._needs_register = True
-            self._pending_level = None
+            self.core.reconnected()
 
     # -- the adaptive loop ----------------------------------------------------
 
     async def run(self, seconds):
         """Fetch on cadence for ``seconds``, adapting as upcalls arrive."""
         deadline = self.clock.now() + seconds
-        next_due = self.clock.now()
+        self.core.next_due = self.clock.now()
         while self.clock.now() < deadline:
             await self._cycle()
-            next_due += self.period
             now = self.clock.now()
-            if next_due > now:
-                await self.clock.sleep(min(next_due - now, deadline - now))
-            else:
-                next_due = now
+            wait = self.core.wait(now)
+            if wait:
+                await self.clock.sleep(min(wait, deadline - now))
 
     async def _cycle(self):
         """One chunk period: fetch (or serve stale), note the outcome."""
+        core = self.core
         if self.client.tracker.offline:
             # Disconnected mode: degraded service from the cache, no
             # network traffic (the prober alone re-establishes trust).
             self.cache_chunks += 1
-            self.cache.get(("chunk", self.fidelity))
+            self.cache.get(("chunk", core.fidelity))
             return
-        if self.client.closed:
-            self.failures += 1
-            return
+        started = self.clock.now()
         try:
-            if self._needs_register:
-                self._needs_register = False
-                self.renegotiations += 1
-                await self._register(level_hint=self._pending_level)
+            await self._negotiate()
             started = self.clock.now()
             # A small control exchange per cycle: its latency is the R
             # sample of Eq. 2 (the sim protocol logs it passively; the
@@ -268,32 +232,22 @@ class LiveWarden:
             await self.client.call(REPORT_OP, {
                 "kind": "round_trip", "seconds": max(latency, 1e-6),
             })
-            nbytes = max(int(self.chunk_bytes * self.fidelity),
-                         min(MIN_PROBE_BYTES, self.chunk_bytes), 1)
             result = await self.receiver.fetch(
-                self.transfer_id, nbytes,
+                self.transfer_id, core.fetch_size(),
                 window_bytes=self.window_bytes,
                 fragment_bytes=self.fragment_bytes,
             )
-            elapsed = self.clock.now() - started
-            self.chunks += 1
-            self.bytes_fetched += result.nbytes
-            if elapsed > self.period:
-                self.stalls += 1
-            self.cache.put(("chunk", self.fidelity), self.clock.now(),
-                           max(1, result.nbytes))
-        except (RpcTimeout, TransportError, RemoteCallError, BrokerError):
+        except (RpcTimeout, TransportError, NegotiationError):
             # A dead spot ate the exchange; the tracker (fed by the call
             # machinery and the prober) owns the connectivity judgement —
             # the warden records the miss and keeps its cadence.
-            self.failures += 1
+            core.chunk_done(self.clock.now() - started, 0)
+            return
+        core.chunk_done(self.clock.now() - started, result.nbytes)
+        self.cache.put(("chunk", core.fidelity), self.clock.now(),
+                       max(1, result.nbytes))
 
     # -- reductions -----------------------------------------------------------
-
-    @property
-    def fidelity_changes(self):
-        """Number of rung changes after the initial optimistic choice."""
-        return max(0, len(self.fidelity_log) - 1)
 
     def describe(self):
         return {
@@ -303,12 +257,12 @@ class LiveWarden:
             "fidelity_changes": self.fidelity_changes,
             "upcalls_received": self.upcalls_received,
             "renegotiations": self.renegotiations,
-            "rejections": self.rejections,
+            "rejections": self.core.rejections,
             "chunks": self.chunks,
             "bytes_fetched": self.bytes_fetched,
             "stalls": self.stalls,
-            "failures": self.failures,
+            "failures": self.core.failures,
             "cache_chunks": self.cache_chunks,
-            "reintegrations": self.reintegrations,
+            "reintegrations": self.core.reintegrations,
             "connectivity": str(self.client.tracker.state),
         }

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.adaptive import AdaptiveClient
 from repro.core.ladder import NO_UPPER, FidelityLadder
-from repro.live import LiveWarden
 from repro.live.warden import video_profile
 
 
@@ -87,16 +87,16 @@ def test_rungs_must_be_distinct_and_present():
         build([1, 1], [0.0, 1.0])
 
 
-# -- the live warden's ladder (the fleet client's guards, on a profile) -------
+# -- the live warden's ladder (the adaptive core's guards, on a profile) -----
 
 
-def video_warden():
-    return LiveWarden("127.0.0.1", 0, "w", profile=video_profile(),
-                      chunk_bytes=16 * 1024, period=0.25)
+def video_ladder():
+    return AdaptiveClient(video_profile().levels, chunk_bytes=16 * 1024,
+                          period=0.25).ladder
 
 
 def test_live_ladder_walks_the_video_rungs():
-    ladder = video_warden().ladder
+    ladder = video_ladder()
     assert ladder.best(None) == 1.0  # optimistic
     assert ladder.best(100_000) == 1.0
     assert ladder.best(40_000) == 0.5
@@ -105,7 +105,7 @@ def test_live_ladder_walks_the_video_rungs():
 
 
 def test_live_windows_carry_the_fleet_guards():
-    ladder = video_warden().ladder
+    ladder = video_ladder()
     lower, upper = ladder.window(0.01)
     assert lower == 0.0  # bottom rung never violates downward
     assert upper == pytest.approx(32_768 * 1.3)

@@ -6,8 +6,6 @@ import pytest
 
 from repro.errors import ReproError
 from repro.fleet import (
-    FIDELITY_LEVELS,
-    FleetClient,
     jain_fairness,
     run_fleet,
     run_fleet_shard,
@@ -125,42 +123,6 @@ def test_jain_fairness_bounds():
     assert jain_fairness([1, 0, 0, 0]) == pytest.approx(0.25)
     assert jain_fairness([]) == 1.0
     assert jain_fairness([0, 0]) == 1.0
-
-
-# -- the client's ladder -------------------------------------------------------
-
-
-@pytest.fixture
-def client():
-    return FleetClient(None, None, "c", "/odyssey/fleet/0",
-                       chunk_bytes=32 * 1024, period=4.0)
-
-
-def test_ladder_picks_highest_sustainable_level(client):
-    full = client.demand(1.0)
-    assert client.ladder.best(None) == 1.0  # optimistic before data
-    assert client.ladder.best(full * 2) == 1.0
-    assert client.ladder.best(full * 0.6) == 0.5
-    assert client.ladder.best(0.0) == FIDELITY_LEVELS[0]
-
-
-def test_lowest_window_is_open_at_the_bottom(client):
-    lower, _ = client.ladder.window(FIDELITY_LEVELS[0])
-    assert lower == 0.0  # always registrable, however bad the link
-
-
-def test_windows_carry_hysteresis(client):
-    lower, upper = client.ladder.window(0.5)
-    assert lower == client.demand(0.5) * 0.8  # guard below own demand
-    assert upper == client.demand(1.0) * 1.3  # guard above the next level
-
-
-def test_mean_fidelity_is_time_weighted(client):
-    client.fidelity_log = [(0.0, 1.0), (10.0, 0.5)]
-    assert client.mean_fidelity(0.0, 20.0) == pytest.approx(0.75)
-    # A change before the window start sets the initial value.
-    assert client.mean_fidelity(10.0, 20.0) == pytest.approx(0.5)
-    assert client.mean_fidelity(5.0, 15.0) == pytest.approx(0.75)
 
 
 # -- CLI -----------------------------------------------------------------------

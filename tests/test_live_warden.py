@@ -5,8 +5,8 @@ import asyncio
 import pytest
 
 from repro.broker import BrokerClient
-from repro.broker.server import REPORT_OP
-from repro.errors import BrokerError
+from repro.broker.server import REPORT_OP, REQUEST_OP
+from repro.errors import BrokerError, RpcTimeout
 from repro.live import FidelityProfile, LiveBroker, LiveWarden, Throttle
 from repro.live.warden import video_profile, web_profile
 
@@ -24,6 +24,12 @@ async def start_live_broker(**kwargs):
 def make_warden(broker, name, **kwargs):
     host, port = broker.address
     return LiveWarden(host, port, name, **kwargs)
+
+
+def windows_of(broker, name):
+    """Request ids of the windows ``broker`` holds for session ``name``."""
+    return [entry.request_id for entry in broker._registry
+            if entry.owner.name == name]
 
 
 # -- profiles and demand (no sockets; the ladder is in test_core_ladder) -----
@@ -47,11 +53,13 @@ def test_empty_profile_is_rejected():
 def test_demand_scales_with_fidelity():
     warden = LiveWarden("127.0.0.1", 0, "w", chunk_bytes=16 * 1024,
                         period=0.25)
-    assert warden.demand(1.0) == pytest.approx(65_536)
-    assert warden.demand(0.5) == pytest.approx(32_768)
-    assert warden.demand(0.01) == pytest.approx(655.36)
-    assert warden.ladder.demands == tuple(
-        warden.demand(level) for level in video_profile().levels)
+    core = warden.core
+    assert core.demand(1.0) == pytest.approx(65_536)
+    assert core.demand(0.5) == pytest.approx(32_768)
+    assert core.demand(0.01) == pytest.approx(655.36)
+    assert core.ladder.demands == tuple(
+        core.demand(level) for level in video_profile().levels)
+    assert core.min_fetch == 4096  # a window, whatever the fidelity
 
 
 # -- the full loop against a live broker --------------------------------------
@@ -131,12 +139,16 @@ def test_disconnected_handoff_serves_the_cache_and_reintegrates():
                 tracker.note_success()
             await warden._cycle()  # reintegration renegotiates here
             return (warden.describe(), offline, cache_chunks,
-                    chunks_while_offline)
+                    chunks_while_offline, windows_of(broker, "roamer"))
         finally:
             await warden.stop()
             await broker.close()
 
-    snapshot, offline, cache_chunks, chunks_while_offline = run(scenario())
+    snapshot, offline, cache_chunks, chunks_while_offline, windows = \
+        run(scenario())
+    # The session outlived the outage: its old window is cancelled, not
+    # left beside the one reintegration registered.
+    assert len(windows) == 1
     assert offline is True
     assert cache_chunks == 2
     assert chunks_while_offline == 0  # no network traffic while offline
@@ -169,3 +181,38 @@ def test_connectivity_transitions_are_journaled():
         ("disconnected", "reconnecting"),
         ("reconnecting", "connected"),
     ]
+
+
+def test_a_lost_registration_reply_is_retried_at_the_next_boundary():
+    async def scenario():
+        broker = await start_live_broker()
+        warden = make_warden(broker, "unlucky", probe_interval=60.0)
+        try:
+            await warden.start()
+            # The broker drops the window and upcalls, as a violation does.
+            [request_id] = windows_of(broker, "unlucky")
+            broker._registry.cancel(request_id)
+            warden._on_upcall({"request_id": request_id,
+                               "resource": "bandwidth", "level": 0.0})
+            # ... and the re-registration's reply is lost once.
+            call = warden.client.call
+            lost = []
+
+            async def lossy(op, body=None, **kwargs):
+                if op == REQUEST_OP and not lost:
+                    lost.append(op)
+                    raise RpcTimeout("reply lost")
+                return await call(op, body, **kwargs)
+
+            warden.client.call = lossy
+            for _ in range(3):
+                await warden._cycle()
+            return warden.describe(), lost, windows_of(broker, "unlucky")
+        finally:
+            await warden.stop()
+            await broker.close()
+
+    snapshot, lost, windows = run(scenario())
+    assert lost == [REQUEST_OP]
+    assert snapshot["failures"] == 1
+    assert len(windows) == 1  # adaptation resumed: the window is back

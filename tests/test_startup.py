@@ -17,6 +17,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 SIM_MODULES = (
+    "repro.core.adaptive",
     "repro.experiments.supply",
     "repro.experiments.concurrent",
     "repro.fleet.shard",
@@ -45,4 +46,14 @@ def test_fleet_shard_run_loads_neither_asyncio_nor_numpy():
         "result = run_fleet_shard(clients=8, duration=5.0, seed=3)\n"
         "assert sum(r.chunks for r in result.records) > 0\n"
         "print(sorted(m for m in ('asyncio', 'numpy') if m in sys.modules))\n")
+    assert out == "[]"
+
+
+def test_the_live_warden_and_the_fleet_share_only_the_core():
+    """Both adaptive shells import their contract from ``repro.core``;
+    neither reaches into the other."""
+    out = probe("import sys\n"
+                "import repro.live.warden\n"
+                "print(sorted(m for m in sys.modules"
+                " if m.startswith('repro.fleet')))\n")
     assert out == "[]"
