@@ -1,13 +1,11 @@
 #!/usr/bin/env python3
-"""The paper's §2.3 vision, assembled: concurrent background applications.
+"""The paper's §2.3 emergency-response scenario: a map prefetcher and a monitor.
 
-An emergency-response worker sweeps a damage-assessment grid.  Three things
+An emergency-response worker sweeps a damage-assessment grid.  Two things
 run at once on the wearable:
 
 - the **map prefetcher** fetches tiles ahead along the planned route, at a
   resolution adapted to bandwidth;
-- a background **information filter** polls the incident feed, pacing its
-  detail and period to a metered communication budget;
 - the **battery monitor** watches power through the same request/upcall
   machinery.
 
@@ -18,10 +16,9 @@ Coverage follows a generated urban mobility scenario.  This is the
 Run:  python examples/emergency_response.py
 """
 
-from repro.apps.infofilter import build_filter
 from repro.apps.prefetch import FieldWorker, build_maps, walk_path
 from repro.core import OdysseyAPI, Viceroy
-from repro.core.monitors import BatteryMonitor, MoneyMonitor
+from repro.core.monitors import BatteryMonitor
 from repro.net import Network
 from repro.sim import Simulator
 from repro.trace.scenarios import generate_scenario
@@ -38,9 +35,7 @@ def main():
     viceroy = Viceroy(sim, network)
 
     battery = BatteryMonitor(sim, capacity_minutes=45)
-    money = MoneyMonitor(sim, budget_cents=40, cents_per_megabyte=8)
     viceroy.attach_monitor(battery)
-    viceroy.attach_monitor(money)
 
     maps_warden, _ = build_maps(sim, viceroy, network)
     worker_api = OdysseyAPI(viceroy, "field-worker")
@@ -48,10 +43,7 @@ def main():
         sim, worker_api, "field-worker", "/odyssey/maps",
         walk_path(WALK_STEPS), dwell_seconds=DWELL_SECONDS,
     )
-    info_filter, _, feed_server = build_filter(sim, viceroy, network,
-                                               money=money)
     worker.start()
-    info_filter.start()
 
     def narrator():
         while True:
@@ -59,8 +51,6 @@ def main():
             bandwidth = viceroy.total_bandwidth()
             print(f"t={sim.now:5.0f}s  bandwidth~{(bandwidth or 0) / KB:6.1f} KB/s"
                   f"  map fidelity={worker.fidelity:<4}"
-                  f"  feed detail={info_filter.detail:<4}"
-                  f"  budget={money.current():5.1f}c"
                   f"  battery={battery.current():5.1f}min")
 
     sim.process(narrator())
@@ -71,13 +61,7 @@ def main():
           f"prefetch hit rate: {worker.stats.hit_rate:.0%}, "
           f"mean view latency: {worker.stats.mean_view_seconds * 1000:.0f} ms")
     print(f"mean map fidelity: {worker.stats.mean_fidelity:.2f}")
-    print(f"feed polls: {info_filter.stats.count}, "
-          f"alerts raised: {info_filter.stats.alerts}, "
-          f"feed staleness at end: "
-          f"{info_filter.stats.staleness(feed_server.version, sim.now)} versions")
-    print(f"communication budget left: {money.current():.1f} of 40.0 cents")
-    print("\nBoth applications shared one modulated link; the viceroy's")
-    print("estimates kept the foreground fast and the background cheap.")
+    print(f"battery left: {battery.current():.1f} of 45.0 minutes")
 
 
 if __name__ == "__main__":

@@ -1,13 +1,11 @@
-"""Adaptive applications (paper §5 and the §2.3/§8 agenda).
+"""Adaptive applications (paper §5 and the §2.2/§2.3 agenda).
 
 The paper's four applications:
 
 - :mod:`repro.apps.video` — a video player (the paper's modified *xanim*):
   movies stored in one track per fidelity level, adaptive track switching.
 - :mod:`repro.apps.web` — a web browser (*Netscape* behind a *cellophane*
-  proxy) fetching images — and, per §8, text objects — through a
-  distillation server; :mod:`repro.apps.web.session` adds realistic
-  page-plus-images browsing.
+  proxy) fetching images through a distillation server.
 - :mod:`repro.apps.speech` — a speech recognizer (*Janus* split
   client/server): hybrid vs. remote placement, vocabulary fidelity levels,
   and disconnected operation.
@@ -17,8 +15,6 @@ The paper's four applications:
 Plus the applications the paper motivates but never built:
 
 - :mod:`repro.apps.prefetch` — the §2.3 emergency-response map prefetcher.
-- :mod:`repro.apps.infofilter` — the §2.3 background information filter,
-  paced by bandwidth and a metered communication budget.
 - :mod:`repro.apps.files` — cached files with §2.2's consistency dimension.
 
 Each application has static (fixed-fidelity) policies and an adaptive

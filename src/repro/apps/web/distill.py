@@ -12,8 +12,6 @@ from repro.rpc.messages import ServerReply
 
 #: CPU time to decode + recompress one image.
 DISTILL_COMPUTE = 0.02
-#: CPU time to strip markup / summarize a text object (much cheaper).
-TEXT_DISTILL_COMPUTE = 0.005
 
 
 class DistillationServer:
@@ -56,26 +54,19 @@ class DistillationServer:
         return ServerReply(body=reply_body, body_bytes=48)
 
     def _get_image(self, body):
-        """Generator handler: wired fetch, distill, reply with bulk.
-
-        Handles both images (JPEG recompression) and, per the paper's §8
-        short-term plan, text objects (markup stripping / summarization) —
-        ``body["kind"]`` selects the distillation table.
-        """
+        """Generator handler: wired fetch, distill, reply with bulk."""
         name, fidelity = body["name"], body["fidelity"]
-        kind = body.get("kind", "image")
         _, meta, original_bytes = yield from self.web_connection.fetch(
             "get-object", body={"name": name}, body_bytes=96
         )
-        out_bytes = distilled_bytes(original_bytes, fidelity, kind=kind)
+        out_bytes = distilled_bytes(original_bytes, fidelity)
         compute = 0.0
         if fidelity < 1.0:
-            compute = DISTILL_COMPUTE if kind == "image" else TEXT_DISTILL_COMPUTE
+            compute = DISTILL_COMPUTE
             self.bytes_saved += original_bytes - out_bytes
         self.images_distilled += 1
         return ServerReply(
-            body={"name": name, "fidelity": fidelity, "nbytes": out_bytes,
-                  "kind": kind},
+            body={"name": name, "fidelity": fidelity, "nbytes": out_bytes},
             body_bytes=64,
             compute_seconds=compute,
             bulk=self.service.make_bulk(

@@ -23,57 +23,31 @@ FIDELITY_LEVELS = {
     0.05: ("jpeg-5", 0.057),
 }
 
-#: Text/HTML fidelity levels (§8 short-term: "incorporate adaptation for
-#: objects other than images").  Distillation strips markup, then content:
-#: full page -> text-only -> headlines/outline.
-TEXT_FIDELITY_LEVELS = {
-    1.00: ("full-html", 1.000),
-    0.50: ("text-only", 0.350),
-    0.10: ("outline", 0.060),
-}
-
-#: Distillation tables by object kind.
-KIND_LEVELS = {
-    "image": FIDELITY_LEVELS,
-    "text": TEXT_FIDELITY_LEVELS,
-}
-
 #: The paper's benchmark image size, bytes (§6.2.2: "a 22KB image").
 BENCHMARK_IMAGE_BYTES = 22 * 1024
 
 
-def distilled_bytes(original_bytes, fidelity, kind="image"):
-    """Size of ``original_bytes`` distilled to ``fidelity`` for ``kind``."""
-    levels = KIND_LEVELS.get(kind)
-    if levels is None:
-        raise ReproError(f"unknown object kind {kind!r}; known: "
-                         f"{sorted(KIND_LEVELS)}")
+def distilled_bytes(original_bytes, fidelity):
+    """Size of ``original_bytes`` distilled to ``fidelity``."""
     try:
-        _, fraction = levels[fidelity]
+        _, fraction = FIDELITY_LEVELS[fidelity]
     except KeyError:
-        known = sorted(levels)
-        raise ReproError(f"unknown {kind} fidelity {fidelity!r}; "
+        known = sorted(FIDELITY_LEVELS)
+        raise ReproError(f"unknown fidelity {fidelity!r}; "
                          f"known: {known}") from None
     return max(int(original_bytes * fraction), 256)
 
 
 @dataclass(frozen=True)
 class WebImage:
-    """One resource on a web server (an image unless ``kind`` says otherwise)."""
+    """One image on a web server."""
 
     name: str
     nbytes: int
-    kind: str = "image"
 
     def __post_init__(self):
         if self.nbytes <= 0:
-            raise ReproError(f"object size must be positive, got {self.nbytes!r}")
-        if self.kind not in KIND_LEVELS:
-            raise ReproError(f"unknown object kind {self.kind!r}")
-
-
-#: Alias making the generalization explicit at call sites.
-WebObject = WebImage
+            raise ReproError(f"image size must be positive, got {self.nbytes!r}")
 
 
 class ImageStore:
@@ -91,10 +65,6 @@ class ImageStore:
     def add_benchmark_image(self, name="test.gif"):
         """The paper's 22 KB benchmark image."""
         return self.add(WebImage(name, BENCHMARK_IMAGE_BYTES))
-
-    def add_page(self, name, nbytes=30 * 1024):
-        """An HTML page — the §8 non-image object type."""
-        return self.add(WebObject(name, nbytes, kind="text"))
 
     def add_synthetic_corpus(self, count, seed=0, min_bytes=4 * 1024,
                              max_bytes=80 * 1024, prefix="img"):

@@ -12,7 +12,7 @@ warden's mutating tsop — queue to the deferred-op log and reintegrate on
 reconnection.
 """
 
-from repro.apps.web.images import FIDELITY_LEVELS, KIND_LEVELS
+from repro.apps.web.images import FIDELITY_LEVELS
 from repro.core.warden import Warden
 from repro.errors import OdysseyError
 
@@ -40,35 +40,26 @@ class WebWarden(Warden):
         #: fetches wait indefinitely; set one (with a ``deadline``) to make
         #: fetches fail fast into degraded service during outages.
         self.retry = retry
-        #: Per-kind fidelity levels (images and, per §8, text objects).
-        self.fidelities = {"image": 1.0, "text": 1.0}
+        #: Image fidelity for subsequent fetches (the Fig. 11 dimension).
+        self.fidelity = 1.0
         self.images_fetched = 0
         self.forms_posted = 0
 
-    @property
-    def fidelity(self):
-        """Image fidelity (the Fig. 11 dimension)."""
-        return self.fidelities["image"]
-
     def tsop_set_fidelity(self, app, rest, inbuf):
-        """Set the fidelity used for subsequent fetches of a kind."""
+        """Set the fidelity used for subsequent fetches."""
         level = float(inbuf["fidelity"])
-        kind = inbuf.get("kind", "image")
-        levels = KIND_LEVELS.get(kind)
-        if levels is None:
-            raise OdysseyError(f"unknown object kind {kind!r}")
-        if level not in levels:
+        if level not in FIDELITY_LEVELS:
             raise OdysseyError(
-                f"{kind} fidelity {level!r} not offered; "
-                f"levels: {sorted(levels)}"
+                f"fidelity {level!r} not offered; "
+                f"levels: {sorted(FIDELITY_LEVELS)}"
             )
-        self.fidelities[kind] = level
+        self.fidelity = level
         return level
         yield  # pragma: no cover - generator protocol
 
     def tsop_get_fidelity(self, app, rest, inbuf):
-        """Current fidelity level for a kind (default: images)."""
-        return self.fidelities[inbuf.get("kind", "image") if inbuf else "image"]
+        """Current fidelity level."""
+        return self.fidelity
         yield  # pragma: no cover - generator protocol
 
     def tsop_get_image(self, app, rest, inbuf):
@@ -82,10 +73,9 @@ class WebWarden(Warden):
         :class:`~repro.errors.Disconnected`.
         """
         name = inbuf["name"]
-        kind = inbuf.get("kind", "image")
         conn = self.primary_connection(rest)
-        fidelity = 1.0 if self.direct else self.fidelities[kind]
-        key = ("image", name, kind, fidelity)
+        fidelity = 1.0 if self.direct else self.fidelity
+        key = ("image", name, fidelity)
 
         def fetch_op():
             if self.direct:
@@ -95,11 +85,10 @@ class WebWarden(Warden):
             else:
                 _, _, nbytes = yield from self._fetch(
                     conn, "get-image",
-                    {"name": name, "fidelity": fidelity, "kind": kind},
+                    {"name": name, "fidelity": fidelity},
                 )
             self.images_fetched += 1
-            value = {"name": name, "fidelity": fidelity, "nbytes": nbytes,
-                     "kind": kind}
+            value = {"name": name, "fidelity": fidelity, "nbytes": nbytes}
             return value, nbytes
 
         result = yield from self.resilient_fetch(conn, key, fetch_op)

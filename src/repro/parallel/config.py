@@ -13,6 +13,7 @@ suite, where one test drives the CLI and the next calls the experiment
 layer directly.
 """
 
+import math
 import os
 from contextlib import contextmanager
 
@@ -39,7 +40,11 @@ def resolve_jobs(jobs):
 
 
 def resolve_timeout(timeout):
-    """Normalize a per-unit watchdog: ``None``/``0`` disable it."""
+    """Normalize a per-unit watchdog: ``None``/``0`` disable it.
+
+    NaN and infinities are refused: a NaN deadline expires every unit at
+    once, and an infinite one overflows the pool's wait.
+    """
     if timeout is None:
         return None
     try:
@@ -48,8 +53,10 @@ def resolve_timeout(timeout):
         raise ParallelError(
             f"timeout must be a number of seconds, got {timeout!r}"
         ) from None
-    if timeout < 0:
-        raise ParallelError(f"timeout must be >= 0, got {timeout!r}")
+    if not 0 <= timeout < math.inf:
+        raise ParallelError(
+            f"timeout must be a finite number >= 0, got {timeout!r}"
+        )
     return timeout or None
 
 

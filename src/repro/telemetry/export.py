@@ -28,9 +28,8 @@ def write_events_jsonl(events, path):
 def write_recorder_jsonl(recorder, path):
     """Drain a live recorder's trace to a JSONL file at ``path``.
 
-    Touching ``recorder.trace`` flushes the recorder's batch ring, so the
-    log contains every record buffered at call time.  Returns ``(count,
-    dropped)``: events written, and events the bounded trace shed.
+    Returns ``(count, dropped)``: events written, and events the bounded
+    trace shed.
     """
     trace = recorder.trace
     return write_events_jsonl(trace.events(), path), trace.dropped

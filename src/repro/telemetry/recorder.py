@@ -14,28 +14,16 @@ and one attribute check — no label formatting, no allocation, nothing.
 :class:`NullRecorder` still implements the full interface (every method a
 no-op) so un-guarded call sites stay correct, just a call slower.
 
-With telemetry *enabled*, the live recorder buffers instead of
-materializing: ``count``/``gauge``/``observe``/``event``/``sample`` append
-one small tuple to a preallocated ring and return.  Label keying, registry
-dict lookups, histogram bucketing, and trace-dict construction all happen
-later, in :meth:`TelemetryRecorder._flush` — when the ring fills, or when
-a reader touches :attr:`TelemetryRecorder.registry` /
-:attr:`TelemetryRecorder.trace` (both are flushing properties, so
-exporters and tests always observe a fully materialized view).  One ring
-carries every kind of record, so relative order — gauge last-value
-semantics, trace event order — is exactly what an unbuffered recorder
-would produce.
+With telemetry *enabled*, :class:`TelemetryRecorder` writes each record
+straight into its :class:`~repro.telemetry.registry.MetricsRegistry` or
+:class:`~repro.telemetry.trace.EventTrace` at call time, so both always
+hold every record made so far, in call order.
 """
 
 from contextlib import contextmanager
 
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.trace import DEFAULT_TRACE_CAPACITY, EventTrace
-
-#: Buffered records between flushes.  Big enough that a measurement window
-#: rarely flushes inline; small enough that the ring (one machine word per
-#: slot) is cache-resident noise.
-_BATCH_CAPACITY = 1024
 
 
 class NullRecorder:
@@ -97,10 +85,8 @@ class TelemetryRecorder:
 
     def __init__(self, clock=None, trace_capacity=DEFAULT_TRACE_CAPACITY):
         self._clock = clock or (lambda: 0.0)
-        self._registry = MetricsRegistry()
-        self._trace = EventTrace(self.now, capacity=trace_capacity)
-        self._pending = [None] * _BATCH_CAPACITY
-        self._n = 0
+        self.registry = MetricsRegistry()
+        self.trace = EventTrace(self.now, capacity=trace_capacity)
 
     def now(self):
         """Current time as the bound clock tells it."""
@@ -109,89 +95,28 @@ class TelemetryRecorder:
     def bind_clock(self, clock):
         """Point this recorder at a (new) time source.
 
-        Buffered records are unaffected: metric updates carry no time, and
-        trace records stamp their timestamp when recorded, not at flush.
+        Records already made keep their timestamps.
         """
         self._clock = clock
-
-    # -- the batch ring --------------------------------------------------------
-
-    def _flush(self):
-        """Materialize every buffered record, in recording order."""
-        pending = self._pending
-        n = self._n
-        self._n = 0
-        registry = self._registry
-        trace = self._trace
-        for i in range(n):
-            op = pending[i]
-            pending[i] = None
-            kind = op[0]
-            if kind == "c":
-                registry.counter(op[1], **op[3]).inc(op[2])
-            elif kind == "e":
-                trace.record({"t": op[1], "kind": "point", "name": op[2],
-                              "fields": op[3]})
-            elif kind == "g":
-                registry.gauge(op[1], **op[3]).set(op[2])
-            elif kind == "h":
-                registry.histogram(op[1], buckets=op[3], **op[4]).observe(op[2])
-            else:  # "s"
-                trace.record({"t": op[2], "kind": "sample", "name": op[1],
-                              "value": op[3], "fields": op[4]})
-
-    @property
-    def registry(self):
-        """The metrics registry, flushed so every buffered update is in it."""
-        if self._n:
-            self._flush()
-        return self._registry
-
-    @property
-    def trace(self):
-        """The event trace, flushed so every buffered record is in it."""
-        if self._n:
-            self._flush()
-        return self._trace
 
     # -- metrics ---------------------------------------------------------------
 
     def count(self, name, amount=1.0, **labels):
-        n = self._n
-        self._pending[n] = ("c", name, amount, labels)
-        self._n = n + 1
-        if self._n == _BATCH_CAPACITY:
-            self._flush()
+        self.registry.counter(name, **labels).inc(amount)
 
     def gauge(self, name, value, **labels):
-        n = self._n
-        self._pending[n] = ("g", name, value, labels)
-        self._n = n + 1
-        if self._n == _BATCH_CAPACITY:
-            self._flush()
+        self.registry.gauge(name, **labels).set(value)
 
     def observe(self, name, value, buckets=None, **labels):
-        n = self._n
-        self._pending[n] = ("h", name, value, buckets, labels)
-        self._n = n + 1
-        if self._n == _BATCH_CAPACITY:
-            self._flush()
+        self.registry.histogram(name, buckets=buckets, **labels).observe(value)
 
     # -- trace -----------------------------------------------------------------
 
     def event(self, name, **fields):
-        n = self._n
-        self._pending[n] = ("e", self._clock(), name, fields)
-        self._n = n + 1
-        if self._n == _BATCH_CAPACITY:
-            self._flush()
+        self.trace.point(name, **fields)
 
     def sample(self, name, t, value, **fields):
-        n = self._n
-        self._pending[n] = ("s", name, t, value, fields)
-        self._n = n + 1
-        if self._n == _BATCH_CAPACITY:
-            self._flush()
+        self.trace.sample(name, t, value, **fields)
 
     def sample_series(self, name, series, **fields):
         """Record a whole (time, value) series through the trace."""
@@ -206,16 +131,13 @@ class TelemetryRecorder:
         ``--events-out`` stream records which process ran each trial.
         Shard order is preserved; returns the number of events absorbed.
         """
-        trace = self.trace  # flushes, so the shard lands after local records
         if worker is None:
-            return trace.extend(events)
-        return trace.extend(
+            return self.trace.extend(events)
+        return self.trace.extend(
             {**event, "worker": worker} for event in events
         )
 
     def begin(self, name, parent=None, **fields):
-        # Spans are rare (per phase, not per event); flush so the begin
-        # record sits in trace order relative to buffered points.
         return self.trace.begin(name, parent=parent, **fields)
 
     def end(self, span_id, **fields):

@@ -82,15 +82,6 @@ class EventTrace:
                              "span": span_id, "duration": now - began,
                              "fields": fields})
 
-    def record(self, event):
-        """Append one pre-stamped event dict.
-
-        The recorder's batched flush path: records buffered as op tuples
-        already carry their timestamp, so they enter the ring as-is —
-        capacity accounting (:attr:`dropped`) applies as usual.
-        """
-        return self._append(event)
-
     def extend(self, events):
         """Append pre-stamped event dicts; returns how many were added.
 

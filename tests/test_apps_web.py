@@ -92,13 +92,17 @@ def test_set_fidelity_validated(sim, viceroy, network, run_process):
     api = OdysseyAPI(viceroy, "n")
 
     def flow():
-        try:
+        with pytest.raises(OdysseyError):
             yield from api.tsop("/odyssey/web/x", "set-fidelity",
                                 {"fidelity": 0.42})
-        except OdysseyError:
-            return "rejected"
+        kept = yield from api.tsop("/odyssey/web/x", "get-fidelity", {})
+        yield from api.tsop("/odyssey/web/x", "set-fidelity",
+                            {"fidelity": 0.25})
+        moved = yield from api.tsop("/odyssey/web/x", "get-fidelity", {})
+        return kept, moved
 
-    assert run_process(flow()) == "rejected"
+    # A refused level leaves the fidelity where it was.
+    assert run_process(flow()) == (1.0, 0.25)
 
 
 def test_full_quality_fetch_time_at_high_bandwidth():
@@ -170,91 +174,3 @@ def test_goal_met_fraction_stat():
     browser.start()
     sim.run(until=10.0)
     assert browser.stats.goal_met_fraction() == 1.0
-
-
-# -- non-image objects (§8 short-term) ---------------------------------------
-
-
-def test_text_fidelity_levels_distinct_from_images():
-    from repro.apps.web.images import TEXT_FIDELITY_LEVELS
-
-    assert set(TEXT_FIDELITY_LEVELS) == {1.0, 0.5, 0.1}
-    # Text distills harder at mid fidelity than JPEG does.
-    assert TEXT_FIDELITY_LEVELS[0.5][1] > FIDELITY_LEVELS[0.5][1]
-
-
-def test_distilled_bytes_by_kind():
-    assert distilled_bytes(30_000, 0.5, kind="text") == int(30_000 * 0.35)
-    with pytest.raises(ReproError):
-        distilled_bytes(1000, 0.25, kind="text")  # not a text level
-    with pytest.raises(ReproError):
-        distilled_bytes(1000, 0.5, kind="video")  # unknown kind
-
-
-def test_web_object_kind_validation():
-    from repro.apps.web.images import WebObject
-
-    page = WebObject("index.html", 30_000, kind="text")
-    assert page.kind == "text"
-    with pytest.raises(ReproError):
-        WebObject("x", 100, kind="audio")
-
-
-def test_page_store_helper():
-    store = ImageStore()
-    page = store.add_page("index.html")
-    assert page.kind == "text"
-    assert store.get("index.html") is page
-
-
-def test_text_object_fetch_and_distillation(sim, viceroy, network, run_process):
-    store = ImageStore()
-    page = store.add_page("news.html", nbytes=40_000)
-    warden, distiller, _ = build_web(sim, viceroy, network, store)
-    api = OdysseyAPI(viceroy, "netscape")
-
-    def flow():
-        yield from api.tsop("/odyssey/web/x", "set-fidelity",
-                            {"fidelity": 0.5, "kind": "text"})
-        result = yield from api.tsop("/odyssey/web/x", "get-image",
-                                     {"name": "news.html", "kind": "text"})
-        return result
-
-    result = run_process(flow())
-    assert result["kind"] == "text"
-    assert result["nbytes"] == int(40_000 * 0.35)
-    assert distiller.bytes_saved > 0
-
-
-def test_per_kind_fidelities_independent(sim, viceroy, network, run_process):
-    store = ImageStore()
-    store.add_benchmark_image()
-    warden, _, _ = build_web(sim, viceroy, network, store)
-    api = OdysseyAPI(viceroy, "netscape")
-
-    def flow():
-        yield from api.tsop("/odyssey/web/x", "set-fidelity",
-                            {"fidelity": 0.1, "kind": "text"})
-        image_level = yield from api.tsop("/odyssey/web/x", "get-fidelity",
-                                          {"kind": "image"})
-        text_level = yield from api.tsop("/odyssey/web/x", "get-fidelity",
-                                         {"kind": "text"})
-        return image_level, text_level
-
-    assert run_process(flow()) == (1.0, 0.1)
-
-
-def test_image_fidelity_rejected_for_text(sim, viceroy, network, run_process):
-    store = ImageStore()
-    store.add_page("p.html")
-    warden, _, _ = build_web(sim, viceroy, network, store)
-    api = OdysseyAPI(viceroy, "netscape")
-
-    def flow():
-        try:
-            yield from api.tsop("/odyssey/web/x", "set-fidelity",
-                                {"fidelity": 0.25, "kind": "text"})
-        except OdysseyError:
-            return "rejected"
-
-    assert run_process(flow()) == "rejected"

@@ -1,5 +1,6 @@
 """The parallel trial runner: deterministic merge at any jobs count."""
 
+import math
 import time
 
 import pytest
@@ -160,10 +161,9 @@ def test_watchdog_config_default_applies(echo_experiment):
 def test_watchdog_rejects_bad_timeout():
     from repro.parallel import resolve_timeout
 
-    with pytest.raises(ParallelError):
-        resolve_timeout(-1.0)
-    with pytest.raises(ParallelError):
-        resolve_timeout("soon")
+    for bad in (-1.0, "soon", math.nan, math.inf, -math.inf, "nan"):
+        with pytest.raises(ParallelError):
+            resolve_timeout(bad)
     assert resolve_timeout(None) is None
     assert resolve_timeout(0) is None  # 0 disables, like --jobs 0 = all cores
     assert resolve_timeout(2.5) == 2.5

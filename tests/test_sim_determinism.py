@@ -19,9 +19,6 @@ import pytest
 
 from repro.apps.files import DocumentReader, build_files
 from repro.apps.prefetch import FieldWorker, build_maps, walk_path
-from repro.apps.web.images import ImageStore
-from repro.apps.web.session import BrowsingSession, synthetic_site
-from repro.apps.web.warden import build_web
 from repro.core.api import OdysseyAPI
 from repro.core.ladder import FidelityLadder
 from repro.core.viceroy import Viceroy
@@ -111,9 +108,6 @@ GOLDEN_READER_OPENS = (
 GOLDEN_WORKER_VIEWS = (
     "50aecdfaf890873de85a2628486f1efa2a22bef82da39eb484b1bd844ca28a87"
 )
-GOLDEN_SESSION_LOADS = (
-    "ce374d6d36e9d1b7c041d773d2b165374bfa43e87bf9fae901bf43fcbad1dd2a"
-)
 GOLDEN_FLEET_64X4 = (
     "e99aa00448d4a7dfc8483f329365bb99cbf000f9ccb184d7b4c37621a7a2dbe4"
 )
@@ -154,20 +148,6 @@ def worker_digest():
     return digest(worker.stats.views)
 
 
-def session_digest():
-    sim = Simulator()
-    network = Network(sim, step_down().shifted(5.0))
-    viceroy = Viceroy(sim, network)
-    store = ImageStore()
-    site = synthetic_site(store, pages=25)
-    build_web(sim, viceroy, network, store)
-    session = BrowsingSession(sim, OdysseyAPI(viceroy, "browser"), "browser",
-                              "/odyssey/web", site, store, think_seconds=2.0)
-    session.start()
-    sim.run(until=120.0)
-    return digest(session.stats.loads)
-
-
 def test_fig10_video_logs_match_golden_fingerprints():
     assert video_digest("step-up") == GOLDEN_FIG10_STEP_UP_SEED0
     assert video_digest("impulse-down") == GOLDEN_FIG10_IMPULSE_DOWN_SEED0
@@ -181,7 +161,6 @@ def test_fig11_browser_fetches_match_golden_fingerprints():
 def test_app_logs_match_golden_fingerprints():
     assert reader_digest() == GOLDEN_READER_OPENS
     assert worker_digest() == GOLDEN_WORKER_VIEWS
-    assert session_digest() == GOLDEN_SESSION_LOADS
 
 
 def test_fleet_fingerprint_matches_golden():

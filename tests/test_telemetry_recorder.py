@@ -107,3 +107,42 @@ def test_instrumented_code_sees_recorder_through_module():
     with telemetry.enabled() as rec:
         hot_path()
     assert rec.registry.counter("hits").value == 1.0
+
+
+def test_records_keep_call_order_past_a_thousand_calls():
+    clock = {"now": 0.0}
+    rec = TelemetryRecorder(clock=lambda: clock["now"])
+    expected = []  # (kind, name, t) of every trace record, in call order
+    for i in range(1500):
+        clock["now"] = i * 0.5
+        step = i % 5
+        if step == 0:
+            rec.count("calls", conn=f"c{i % 3}")
+        elif step == 1:
+            rec.gauge("depth", float(i), conn=f"c{i % 3}")
+        elif step == 2:
+            rec.observe("latency", i * 0.001, buckets=(0.1, 1.0))
+        elif step == 3:
+            rec.event("tick", i=i)
+            expected.append(("point", "tick", clock["now"]))
+        else:
+            rec.sample("bw", i * 0.25, float(i))
+            expected.append(("sample", "bw", i * 0.25))
+    assert [(e["kind"], e["name"], e["t"]) for e in rec.trace.events()] == expected
+    assert [e["fields"]["i"] for e in rec.trace.events(kind="point")] == list(
+        range(3, 1500, 5))
+
+    # Gauges keep the last value set; counters and histograms count all.
+    for conn in range(3):
+        last = max(i for i in range(1, 1500, 5) if i % 3 == conn)
+        assert rec.registry.gauge("depth", conn=f"c{conn}").value == float(last)
+    assert sum(rec.registry.counter("calls", conn=f"c{conn}").value
+               for conn in range(3)) == 300.0
+    latency = rec.registry.histogram("latency")
+    assert latency.count == 300
+    assert latency.counts[0] == 20  # i * 0.001 <= 0.1 for i in 2, 7, ..., 97
+
+    shard = [{"t": 0.0, "kind": "point", "name": "remote", "fields": {}}]
+    assert rec.absorb(shard, worker=7) == 1
+    assert rec.trace.events()[-1] == {**shard[0], "worker": 7}
+    assert len(rec.trace) == len(expected) + 1
