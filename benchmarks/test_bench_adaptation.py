@@ -7,18 +7,11 @@ pipeline, using the adaptive video player's track switches.
 
 from conftest import run_once
 
-from repro.experiments.adaptation import (
-    format_adaptation,
-    run_adaptation_experiment,
-)
+from repro.experiments.adaptation import format_adaptation, run_adaptation
 
 
 def test_adaptation_agility(benchmark, trials):
-    def run_both():
-        return [run_adaptation_experiment(name, trials=trials)
-                for name in ("step-up", "step-down")]
-
-    results = run_once(benchmark, run_both)
+    results = run_once(benchmark, run_adaptation, trials=trials)
     print("\n" + format_adaptation(results))
     by_name = {result.waveform: result for result in results}
 

@@ -3,7 +3,7 @@
 from conftest import run_once
 
 from repro.experiments.report import format_supply_result
-from repro.experiments.supply import REFERENCE_WAVEFORMS, run_supply_experiment
+from repro.experiments.supply import REFERENCE_WAVEFORMS, run_all_supply
 from repro.trace.waveforms import HIGH_BANDWIDTH, LOW_BANDWIDTH
 
 #: The paper's qualitative results, used as sanity gates.
@@ -11,11 +11,7 @@ PAPER_STEP_DOWN_SETTLING = 2.0  # seconds
 
 
 def test_fig8_supply_agility(benchmark, trials):
-    def run_all():
-        return {name: run_supply_experiment(name, trials=trials)
-                for name in REFERENCE_WAVEFORMS}
-
-    results = run_once(benchmark, run_all)
+    results = run_once(benchmark, run_all_supply, trials=trials)
     print("\n")
     for name in REFERENCE_WAVEFORMS:
         print(format_supply_result(results[name]))

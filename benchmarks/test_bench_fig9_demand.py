@@ -2,17 +2,13 @@
 
 from conftest import run_once
 
-from repro.experiments.demand import UTILIZATIONS, run_demand_experiment
+from repro.experiments.demand import UTILIZATIONS, run_all_demand
 from repro.experiments.report import format_demand_result
 from repro.trace.waveforms import HIGH_BANDWIDTH
 
 
 def test_fig9_demand_agility(benchmark, trials):
-    def run_all():
-        return {u: run_demand_experiment(u, trials=trials)
-                for u in UTILIZATIONS}
-
-    results = run_once(benchmark, run_all)
+    results = run_once(benchmark, run_all_demand, trials=trials)
     print("\n")
     for utilization in UTILIZATIONS:
         print(format_demand_result(results[utilization]))

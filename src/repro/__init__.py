@@ -16,9 +16,9 @@ depends on has a counterpart here:
 
 Quick start::
 
-    from repro.experiments import video
-    table = video.run_video_experiment(waveform="step-up", trials=5)
-    print(table)
+    from repro.experiments.report import format_video_table
+    from repro.experiments.video import run_video_table
+    print(format_video_table(run_video_table(trials=5)))
 
 See README.md for a tour and DESIGN.md for the full system inventory.
 """

@@ -34,15 +34,13 @@ def _cmd_calibration(args):
 def _cmd_waveform(args):
     from repro.trace.replay import serialize_trace
     from repro.trace.scenarios import SCENARIO_MODELS, generate_scenario
-    from repro.trace.waveforms import WAVEFORMS, waveform
+    from repro.trace.waveforms import waveform
 
     if args.name in SCENARIO_MODELS:
         trace = generate_scenario(args.name, duration_seconds=args.duration,
                                   seed=args.seed)
-    elif args.name in WAVEFORMS:
-        trace = waveform(args.name)
     else:
-        trace = waveform(args.name)  # raises with the known-names message
+        trace = waveform(args.name)  # unknown names raise, listing known ones
     if args.format == "trace":
         print(serialize_trace(trace), end="")
     else:  # csv of (time, bandwidth)
@@ -56,15 +54,11 @@ def _cmd_waveform(args):
 
 def _cmd_fig8(args):
     from repro.experiments.report import format_supply_result
-    from repro.experiments.supply import (
-        REFERENCE_WAVEFORMS,
-        run_supply_experiment,
-    )
+    from repro.experiments.supply import REFERENCE_WAVEFORMS, run_all_supply
     from repro.telemetry.export import series_to_csv, series_to_jsonl
 
-    names = [args.waveform] if args.waveform else list(REFERENCE_WAVEFORMS)
-    for name in names:
-        result = run_supply_experiment(name, trials=args.trials)
+    waveforms = (args.waveform,) if args.waveform else REFERENCE_WAVEFORMS
+    for name, result in run_all_supply(args.trials, 0, waveforms).items():
         if args.format == "csv":
             print(series_to_csv(result.merged_series(),
                                 header="time_s,estimate_bytes_per_s"), end="")
@@ -77,76 +71,32 @@ def _cmd_fig8(args):
 
 
 def _cmd_fig9(args):
-    from repro.experiments.demand import UTILIZATIONS, run_demand_experiment
+    from repro.experiments.demand import UTILIZATIONS, run_all_demand
     from repro.experiments.report import format_demand_result
 
-    utilizations = [args.utilization] if args.utilization else list(UTILIZATIONS)
-    for utilization in utilizations:
-        result = run_demand_experiment(utilization, trials=args.trials)
+    utilizations = UTILIZATIONS if args.utilization is None \
+        else (args.utilization,)
+    for result in run_all_demand(args.trials, 0, utilizations).values():
         print(format_demand_result(result))
     return 0
 
 
-def _cmd_fig10(args):
-    from repro.experiments.report import format_video_table
-    from repro.experiments.video import run_video_table
+def _cmd_section(args):
+    from repro.experiments.summary import SECTIONS
 
-    print(format_video_table(run_video_table(trials=args.trials)))
-    return 0
-
-
-def _cmd_fig11(args):
-    from repro.experiments.report import format_web_table
-    from repro.experiments.web import run_web_table
-
-    print(format_web_table(run_web_table(trials=args.trials)))
-    return 0
-
-
-def _cmd_fig12(args):
-    from repro.experiments.report import format_speech_table
-    from repro.experiments.speech import run_speech_table
-
-    print(format_speech_table(run_speech_table(trials=args.trials)))
-    return 0
-
-
-def _cmd_fig14(args):
-    from repro.experiments.concurrent import run_concurrent_table
-    from repro.experiments.report import format_concurrent_table
-
-    print(format_concurrent_table(run_concurrent_table(trials=args.trials)))
-    return 0
-
-
-def _cmd_turbulence(args):
-    from repro.experiments.turbulence import (
-        format_turbulence,
-        run_turbulence_sweep,
-    )
-
-    print(format_turbulence(run_turbulence_sweep(trials=args.trials)))
-    return 0
-
-
-def _cmd_adaptation(args):
-    from repro.experiments.adaptation import (
-        format_adaptation,
-        run_adaptation_experiment,
-    )
-
-    results = [run_adaptation_experiment(name, trials=args.trials)
-               for name in ("step-up", "step-down")]
-    print(format_adaptation(results))
+    print(SECTIONS[args.command](args.trials, 0))
     return 0
 
 
 def _cmd_all(args):
-    from repro.experiments.summary import main as run_summary
+    from repro.experiments.summary import run_everything
 
-    run_summary(trials=args.trials, master_seed=args.seed,
-                out_path=args.out,
-                include_extensions=not args.no_extensions)
+    report = run_everything(trials=args.trials, master_seed=args.seed,
+                            include_extensions=not args.no_extensions)
+    print(report, end="")
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(report)
     return 0
 
 
@@ -192,17 +142,10 @@ def _cmd_fleet(args):
         "master_seed": args.seed,
     }
     if args.curve:
-        points = [int(p) for p in args.curve.split(",") if p.strip()]
-        print(format_scaling_curve(run_scaling_curve(points, **common)))
+        print(format_scaling_curve(run_scaling_curve(args.curve, **common)))
     else:
         print(format_fleet_report(run_fleet(args.clients, **common)))
     return 0
-
-
-def _chaos_profile_names():
-    from repro.chaos import PROFILE_NAMES
-
-    return PROFILE_NAMES
 
 
 def _cmd_chaos(args):
@@ -400,31 +343,24 @@ def _cmd_bench(args):
         return 2
 
 
-#: Scenarios the ``telemetry`` command can drive.
-TELEMETRY_SCENARIOS = ("fig8-supply", "fig9-demand", "adaptation")
-
-
-def _run_telemetry_scenario(args):
-    if args.scenario == "fig8-supply":
-        from repro.experiments.supply import run_supply_trial
-
-        run_supply_trial(args.waveform, seed=args.seed)
-    elif args.scenario == "fig9-demand":
-        from repro.experiments.demand import run_demand_trial
-
-        run_demand_trial(args.utilization, seed=args.seed)
-    else:  # adaptation
-        from repro.experiments.adaptation import run_adaptation_trial
-
-        run_adaptation_trial(args.waveform, seed=args.seed)
+#: Scenarios the ``telemetry`` command can drive: one in-process trial
+#: of a registered experiment, its one parameter read from an option.
+TELEMETRY_SCENARIOS = {
+    "fig8-supply": ("supply", "waveform_name", "waveform"),
+    "fig9-demand": ("demand", "utilization", "utilization"),
+    "adaptation": ("adaptation", "waveform_name", "waveform"),
+}
 
 
 def _cmd_telemetry(args):
     from repro import telemetry
+    from repro.parallel import resolve_trial_function
     from repro.telemetry.export import metrics_summary, write_recorder_jsonl
 
+    experiment, param, option = TELEMETRY_SCENARIOS[args.scenario]
     with telemetry.enabled() as rec:
-        _run_telemetry_scenario(args)
+        resolve_trial_function(experiment)(**{param: getattr(args, option)},
+                                           seed=args.seed)
     if args.events_out:
         count, dropped = write_recorder_jsonl(rec, args.events_out)
         print(f"# wrote {count} events to {args.events_out} "
@@ -559,7 +495,34 @@ def _cmd_scenario(args):
     return 0
 
 
+#: The figure commands whose whole output is one report section
+#: (``repro.experiments.summary.SECTIONS``), with their help texts.
+SECTION_COMMANDS = (
+    ("fig10", "video player table"),
+    ("fig11", "web browser table"),
+    ("fig12", "speech recognizer table"),
+    ("fig14", "concurrent applications table"),
+    ("turbulence", "impulse detectability sweep"),
+    ("adaptation", "end-to-end adaptation agility"),
+)
+
+
+def positive_int(text):
+    """argparse type: an integer of at least 1 (anything else exits 2)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def client_counts(text):
+    """argparse type for ``--curve``: comma-separated positive integers."""
+    return [positive_int(part) for part in text.split(",")]
+
+
 def build_parser():
+    from repro.chaos import PROFILE_NAMES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce 'Agile Application-Aware Adaptation for "
@@ -615,7 +578,7 @@ def build_parser():
 
     def experiment_parser(name, help_text, fn, extra=None):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--trials", type=int, default=3,
+        p.add_argument("--trials", type=positive_int, default=3,
                        help="trials per cell (paper uses 5)")
         p.add_argument("--events-out", metavar="PATH",
                        help="run with telemetry enabled and write the event "
@@ -636,14 +599,8 @@ def build_parser():
         "fig9", "demand-estimation agility", _cmd_fig9,
         lambda p: p.add_argument("--utilization", type=float),
     )
-    experiment_parser("fig10", "video player table", _cmd_fig10)
-    experiment_parser("fig11", "web browser table", _cmd_fig11)
-    experiment_parser("fig12", "speech recognizer table", _cmd_fig12)
-    experiment_parser("fig14", "concurrent applications table", _cmd_fig14)
-    experiment_parser("turbulence", "impulse detectability sweep",
-                      _cmd_turbulence)
-    experiment_parser("adaptation", "end-to-end adaptation agility",
-                      _cmd_adaptation)
+    for name, help_text in SECTION_COMMANDS:
+        experiment_parser(name, help_text, _cmd_section)
     experiment_parser(
         "all", "regenerate every table and figure into one report",
         _cmd_all,
@@ -681,7 +638,7 @@ def build_parser():
                    choices=("urban", "highway", "office", "robustness"),
                    help="scenario family each shard draws its trace from")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--curve", metavar="N,N,...",
+    p.add_argument("--curve", type=client_counts, metavar="N,N,...",
                    help="run a scaling curve over these client counts "
                         "instead of one fleet (e.g. 250,500,1000)")
     parallel_options(p)
@@ -699,7 +656,7 @@ def build_parser():
     p.add_argument("--duration", type=float, default=30.0,
                    help="measured window per shard, simulated seconds")
     p.add_argument("--profile", default="regional-blackout",
-                   choices=_chaos_profile_names(),
+                   choices=PROFILE_NAMES,
                    help="storm profile (default regional-blackout)")
     p.add_argument("--no-drill", action="store_true",
                    help="skip the mid-run viceroy crash–restore drill")

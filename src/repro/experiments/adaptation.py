@@ -23,7 +23,7 @@ from repro.apps.video.warden import build_video
 from repro.core.api import OdysseyAPI
 from repro.experiments.harness import DEFAULT_TRIALS, ExperimentWorld
 from repro.experiments.stats import Cell
-from repro.parallel.runner import run_trials
+from repro.parallel.runner import run_grid
 from repro.trace.waveforms import WAVEFORM_DURATION
 
 TRANSITION = WAVEFORM_DURATION / 2
@@ -91,12 +91,14 @@ def run_adaptation_trial(waveform_name, seed=0):
     )
 
 
-def run_adaptation_experiment(waveform_name, trials=DEFAULT_TRIALS,
-                              master_seed=0):
-    """Adaptation agility over one step waveform (trials via the runner)."""
-    collected = run_trials("adaptation", {"waveform_name": waveform_name},
-                           trials, master_seed)
-    return AdaptationResult(waveform_name, collected)
+def run_adaptation(trials=DEFAULT_TRIALS, master_seed=0,
+                   waveforms=("step-up", "step-down")):
+    """Adaptation agility per step waveform: AdaptationResults, in order."""
+    cells = run_grid("adaptation",
+                     [{"waveform_name": name} for name in waveforms],
+                     trials, master_seed)
+    return [AdaptationResult(name, chunk)
+            for name, chunk in zip(waveforms, cells)]
 
 
 def format_adaptation(results):

@@ -25,7 +25,7 @@ from repro.experiments.harness import (
     ExperimentWorld,
 )
 from repro.experiments.stats import Cell
-from repro.parallel.runner import TrialUnit, chunked, run_units, trial_seeds
+from repro.parallel.runner import run_grid
 from repro.trace.waveforms import urban_walk
 
 #: Fig. 14's published values: policy -> (video drops, video fidelity,
@@ -146,26 +146,12 @@ def _concurrent_row(policy, outcomes):
     )
 
 
-def run_concurrent_experiment(policy, trials=DEFAULT_TRIALS, master_seed=0,
-                              trace=None):
-    """One row of Fig. 14."""
-    seeds = trial_seeds(trials, master_seed)
-    params = {"policy": policy}
-    if trace is not None:
-        params["trace"] = trace
-    units = [TrialUnit("concurrent", params, seed) for seed in seeds]
-    return _concurrent_row(policy, run_units(units))
-
-
 def run_concurrent_table(trials=DEFAULT_TRIALS, master_seed=0, trace=None,
                          policies=POLICIES):
     """The full Fig. 14 table, fanned out policy x trial."""
-    seeds = trial_seeds(trials, master_seed)
     base = {} if trace is None else {"trace": trace}
-    units = [TrialUnit("concurrent", {"policy": policy, **base}, seed)
-             for policy in policies for seed in seeds]
-    outcomes = run_units(units)
-    table = ConcurrentTable()
-    for policy, chunk in zip(policies, chunked(outcomes, trials)):
-        table.rows[policy] = _concurrent_row(policy, chunk)
-    return table
+    outcomes = run_grid("concurrent",
+                        [{"policy": policy, **base} for policy in policies],
+                        trials, master_seed)
+    return ConcurrentTable({policy: _concurrent_row(policy, chunk)
+                            for policy, chunk in zip(policies, outcomes)})

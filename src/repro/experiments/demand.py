@@ -12,10 +12,11 @@ from dataclasses import dataclass, field
 
 from repro import telemetry
 from repro.apps.bitstream import build_bitstream
+from repro.errors import ReproError
 from repro.estimation.agility import settling_time
 from repro.experiments.harness import DEFAULT_TRIALS, ExperimentWorld
 from repro.experiments.stats import Cell
-from repro.parallel.runner import TrialUnit, chunked, run_trials, run_units, trial_seeds
+from repro.parallel.runner import run_grid
 from repro.trace.waveforms import HIGH_BANDWIDTH, constant
 
 #: The paper's three offered loads.
@@ -65,6 +66,8 @@ class DemandResult:
 
 def run_demand_trial(utilization, seed=0, chunk_bytes=32 * 1024):
     """One two-stream run; returns a :class:`DemandTrial`."""
+    if not 0 < utilization <= 1:
+        raise ReproError(f"utilization must lie in (0, 1], got {utilization!r}")
     world = ExperimentWorld(
         constant(HIGH_BANDWIDTH, duration=SECOND_STREAM_AT + TAIL_SECONDS + 5),
         seed=seed,
@@ -139,20 +142,9 @@ def run_demand_trial(utilization, seed=0, chunk_bytes=32 * 1024):
     )
 
 
-def run_demand_experiment(utilization, trials=DEFAULT_TRIALS, master_seed=0):
-    """Fig. 9 for one utilization level (trials via the runner)."""
-    collected = run_trials("demand", {"utilization": utilization},
-                           trials, master_seed)
-    return DemandResult(utilization, collected)
-
-
-def run_all_demand(trials=DEFAULT_TRIALS, master_seed=0):
-    """All three panels of Fig. 9, fanned out as one flat unit list."""
-    seeds = trial_seeds(trials, master_seed)
-    units = [TrialUnit("demand", {"utilization": u}, seed)
-             for u in UTILIZATIONS for seed in seeds]
-    collected = run_units(units)
-    return {
-        u: DemandResult(u, chunk)
-        for u, chunk in zip(UTILIZATIONS, chunked(collected, trials))
-    }
+def run_all_demand(trials=DEFAULT_TRIALS, master_seed=0,
+                   utilizations=UTILIZATIONS):
+    """Fig. 9, one panel per offered load: ``{utilization: DemandResult}``."""
+    cells = run_grid("demand", [{"utilization": u} for u in utilizations],
+                     trials, master_seed)
+    return {u: DemandResult(u, chunk) for u, chunk in zip(utilizations, cells)}

@@ -1,6 +1,5 @@
 """Render experiment results as text tables, paper-vs-measured."""
 
-from repro.telemetry.export import series_to_csv  # noqa: F401 - canonical home
 from repro.experiments.concurrent import PAPER_FIG14
 from repro.experiments.speech import PAPER_FIG12, SPEECH_STRATEGIES
 from repro.experiments.supply import REFERENCE_WAVEFORMS

@@ -12,7 +12,7 @@ from repro.core.api import OdysseyAPI
 from repro.experiments.harness import DEFAULT_TRIALS, ExperimentWorld
 from repro.experiments.stats import Cell
 from repro.experiments.supply import REFERENCE_WAVEFORMS
-from repro.parallel.runner import TrialUnit, chunked, run_trials, run_units, trial_seeds
+from repro.parallel.runner import run_grid
 from repro.trace.waveforms import WAVEFORM_DURATION
 
 #: The strategies of Fig. 12, in column order.
@@ -56,30 +56,14 @@ def speech_trial_outcome(waveform_name, strategy, seed=0):
     return front_end.stats.mean_seconds
 
 
-def run_speech_experiment(waveform_name, strategy, trials=DEFAULT_TRIALS,
-                          master_seed=0):
-    """One cell of Fig. 12: mean (σ) recognition time."""
-    times = run_trials(
-        "speech", {"waveform_name": waveform_name, "strategy": strategy},
-        trials, master_seed,
-    )
-    return Cell(times)
-
-
 def run_speech_table(trials=DEFAULT_TRIALS, master_seed=0,
                      waveforms=REFERENCE_WAVEFORMS,
                      strategies=SPEECH_STRATEGIES):
     """The full Fig. 12 table, fanned out cell x trial."""
-    seeds = trial_seeds(trials, master_seed)
     cells = [(waveform_name, strategy)
              for waveform_name in waveforms for strategy in strategies]
-    units = [
-        TrialUnit("speech", {"waveform_name": waveform_name,
-                             "strategy": strategy}, seed)
-        for waveform_name, strategy in cells for seed in seeds
-    ]
-    times = run_units(units)
-    table = SpeechTable()
-    for cell, chunk in zip(cells, chunked(times, trials)):
-        table.cells[cell] = Cell(chunk)
-    return table
+    times = run_grid("speech", [{"waveform_name": waveform_name,
+                                 "strategy": strategy}
+                                for waveform_name, strategy in cells],
+                     trials, master_seed)
+    return SpeechTable({cell: Cell(chunk) for cell, chunk in zip(cells, times)})

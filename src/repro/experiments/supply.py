@@ -15,10 +15,10 @@ from repro.apps.bitstream import build_bitstream
 from repro.core.api import OdysseyAPI
 from repro.core.ladder import NO_UPPER
 from repro.core.resources import Resource
-from repro.estimation.agility import detection_delay, settling_time, tracking_error
+from repro.estimation.agility import detection_delay, settling_time
 from repro.experiments.harness import DEFAULT_TRIALS, ExperimentWorld
 from repro.experiments.stats import Cell
-from repro.parallel.runner import TrialUnit, chunked, run_trials, run_units, trial_seeds
+from repro.parallel.runner import run_grid
 from repro.trace.waveforms import (
     HIGH_BANDWIDTH,
     LOW_BANDWIDTH,
@@ -152,24 +152,13 @@ def run_supply_trial(waveform_name, seed=0, chunk_bytes=64 * 1024,
     return SupplyTrial(waveform_name, series, settling, detection)
 
 
-def run_supply_experiment(waveform_name, trials=DEFAULT_TRIALS, master_seed=0):
-    """Fig. 8 for one waveform: ``trials`` seeded runs (via the runner)."""
-    collected = run_trials("supply", {"waveform_name": waveform_name},
-                           trials, master_seed)
-    return SupplyResult(waveform_name, collected)
-
-
-def run_all_supply(trials=DEFAULT_TRIALS, master_seed=0):
-    """All four panels of Fig. 8, fanned out as one flat unit list."""
-    seeds = trial_seeds(trials, master_seed)
-    units = [TrialUnit("supply", {"waveform_name": name}, seed)
-             for name in REFERENCE_WAVEFORMS for seed in seeds]
-    collected = run_units(units)
-    return {
-        name: SupplyResult(name, chunk)
-        for name, chunk in zip(REFERENCE_WAVEFORMS,
-                               chunked(collected, trials))
-    }
+def run_all_supply(trials=DEFAULT_TRIALS, master_seed=0,
+                   waveforms=REFERENCE_WAVEFORMS):
+    """Fig. 8, one panel per waveform: ``{waveform: SupplyResult}``."""
+    cells = run_grid("supply", [{"waveform_name": name} for name in waveforms],
+                     trials, master_seed)
+    return {name: SupplyResult(name, chunk)
+            for name, chunk in zip(waveforms, cells)}
 
 
 def theoretical_series(waveform_name, step=0.25):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from repro.apps.bitstream import build_bitstream
 from repro.experiments.harness import DEFAULT_TRIALS, ExperimentWorld
 from repro.experiments.stats import Cell
-from repro.parallel.runner import TrialUnit, chunked, run_units, trial_seeds
+from repro.parallel.runner import run_grid
 from repro.trace.waveforms import (
     HIGH_BANDWIDTH,
     LOW_BANDWIDTH,
@@ -74,14 +74,10 @@ def run_turbulence_sweep(widths=DEFAULT_WIDTHS, trials=DEFAULT_TRIALS,
                          master_seed=0):
     """Visibility across impulse widths; returns a TurbulenceResult."""
     widths = tuple(widths)
-    seeds = trial_seeds(trials, master_seed)
-    units = [TrialUnit("turbulence", {"width": width}, seed)
-             for width in widths for seed in seeds]
-    values = run_units(units)
-    result = TurbulenceResult(widths)
-    for width, chunk in zip(widths, chunked(values, trials)):
-        result.visibility[width] = Cell(chunk)
-    return result
+    values = run_grid("turbulence", [{"width": width} for width in widths],
+                      trials, master_seed)
+    return TurbulenceResult(widths, {width: Cell(chunk)
+                                     for width, chunk in zip(widths, values)})
 
 
 def format_turbulence(result):

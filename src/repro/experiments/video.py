@@ -14,7 +14,7 @@ from repro.core.api import OdysseyAPI
 from repro.experiments.harness import DEFAULT_TRIALS, ExperimentWorld
 from repro.experiments.stats import Cell
 from repro.experiments.supply import REFERENCE_WAVEFORMS
-from repro.parallel.runner import TrialUnit, chunked, run_trials, run_units, trial_seeds
+from repro.parallel.runner import run_grid
 from repro.trace.waveforms import WAVEFORM_DURATION
 
 #: The strategies of Fig. 10, in column order.
@@ -107,29 +107,14 @@ def _video_cell(outcomes):
                      fidelity=Cell([o.fidelity for o in outcomes]))
 
 
-def run_video_experiment(waveform_name, strategy, trials=DEFAULT_TRIALS,
-                         master_seed=0):
-    """One cell of Fig. 10: mean (σ) drops and fidelity."""
-    outcomes = run_trials(
-        "video", {"waveform_name": waveform_name, "strategy": strategy},
-        trials, master_seed,
-    )
-    return _video_cell(outcomes)
-
-
 def run_video_table(trials=DEFAULT_TRIALS, master_seed=0,
                     waveforms=REFERENCE_WAVEFORMS, strategies=VIDEO_STRATEGIES):
     """The full Fig. 10 table, fanned out cell x trial."""
-    seeds = trial_seeds(trials, master_seed)
     cells = [(waveform_name, strategy)
              for waveform_name in waveforms for strategy in strategies]
-    units = [
-        TrialUnit("video", {"waveform_name": waveform_name,
-                            "strategy": strategy}, seed)
-        for waveform_name, strategy in cells for seed in seeds
-    ]
-    outcomes = run_units(units)
-    table = VideoTable()
-    for cell, chunk in zip(cells, chunked(outcomes, trials)):
-        table.cells[cell] = _video_cell(chunk)
-    return table
+    outcomes = run_grid("video", [{"waveform_name": waveform_name,
+                                   "strategy": strategy}
+                                  for waveform_name, strategy in cells],
+                        trials, master_seed)
+    return VideoTable({cell: _video_cell(chunk)
+                       for cell, chunk in zip(cells, outcomes)})

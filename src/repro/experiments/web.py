@@ -13,7 +13,7 @@ from repro.core.api import OdysseyAPI
 from repro.experiments.harness import DEFAULT_TRIALS, ExperimentWorld
 from repro.experiments.stats import Cell
 from repro.experiments.supply import REFERENCE_WAVEFORMS
-from repro.parallel.runner import TrialUnit, chunked, run_trials, run_units, trial_seeds
+from repro.parallel.runner import run_grid
 from repro.trace.waveforms import WAVEFORM_DURATION, ethernet
 
 #: The strategies of Fig. 11, in column order.
@@ -100,16 +100,6 @@ def _web_cell(outcomes):
                    fidelity=Cell([o.fidelity for o in outcomes]))
 
 
-def run_web_experiment(waveform_name, strategy, trials=DEFAULT_TRIALS,
-                       master_seed=0):
-    """One cell of Fig. 11."""
-    outcomes = run_trials(
-        "web", {"waveform_name": waveform_name, "strategy": strategy},
-        trials, master_seed,
-    )
-    return _web_cell(outcomes)
-
-
 def run_web_table(trials=DEFAULT_TRIALS, master_seed=0,
                   waveforms=REFERENCE_WAVEFORMS, strategies=WEB_STRATEGIES):
     """The full Fig. 11 table, fanned out cell x trial.
@@ -117,19 +107,15 @@ def run_web_table(trials=DEFAULT_TRIALS, master_seed=0,
     The Ethernet baseline row rides in the same unit list as the
     modulated cells.
     """
-    seeds = trial_seeds(trials, master_seed)
     cells = [("ethernet", 1.0)]
     cells.extend((waveform_name, strategy)
                  for waveform_name in waveforms for strategy in strategies)
-    units = [
-        TrialUnit("web", {"waveform_name": waveform_name,
-                          "strategy": strategy}, seed)
-        for waveform_name, strategy in cells for seed in seeds
-    ]
-    outcomes = run_units(units)
+    outcomes = run_grid("web", [{"waveform_name": waveform_name,
+                                 "strategy": strategy}
+                                for waveform_name, strategy in cells],
+                        trials, master_seed)
     table = WebTable()
-    for (waveform_name, strategy), chunk in zip(cells,
-                                                chunked(outcomes, trials)):
+    for (waveform_name, strategy), chunk in zip(cells, outcomes):
         label = "baseline" if waveform_name == "ethernet" else strategy
         table.cells[(waveform_name, label)] = _web_cell(chunk)
     return table

@@ -44,10 +44,9 @@ from repro.parallel.runner import (
     CONFIGURED,
     TRIAL_FUNCTIONS,
     TrialUnit,
-    chunked,
     register_trial_function,
     resolve_trial_function,
-    run_trials,
+    run_grid,
     run_units,
     trial_seeds,
 )
@@ -58,8 +57,8 @@ __all__ = [
     "default_cache_dir",
     "configure", "current_cache", "current_jobs", "current_timeout",
     "overrides", "resolve_jobs", "resolve_timeout",
-    "CONFIGURED", "TRIAL_FUNCTIONS", "TrialUnit", "chunked",
+    "CONFIGURED", "TRIAL_FUNCTIONS", "TrialUnit",
     "register_trial_function", "resolve_trial_function",
-    "run_trials", "run_units", "trial_seeds",
+    "run_grid", "run_units", "trial_seeds",
     "run_sweep", "sweep_units",
 ]

@@ -220,16 +220,17 @@ def run_units(units, jobs=None, cache=CONFIGURED, timeout=CONFIGURED):
     return results
 
 
-def run_trials(experiment, params, trials, master_seed=0, jobs=None,
-               cache=CONFIGURED):
-    """One experiment cell: ``trials`` seeded units, results in trial order."""
-    units = [TrialUnit(experiment, params, seed)
-             for seed in trial_seeds(trials, master_seed)]
-    return run_units(units, jobs=jobs, cache=cache)
+def run_grid(experiment, cells, trials, master_seed=0):
+    """A figure's cell x trial fan-out; one result list per cell, in order.
 
-
-def chunked(values, size):
-    """Split a flat result list back into per-cell chunks of ``size``."""
-    if size <= 0:
-        raise ParallelError(f"chunk size must be positive, got {size!r}")
-    return [values[i:i + size] for i in range(0, len(values), size)]
+    Each params dict in ``cells`` gets ``trials`` units seeded by
+    :func:`trial_seeds`, and every unit of every cell goes to
+    :func:`run_units` as **one** list, so ``--jobs`` spreads the whole
+    grid over the pool rather than one cell at a time.
+    """
+    if trials < 1:
+        raise ParallelError(f"trials must be at least 1, got {trials!r}")
+    seeds = trial_seeds(trials, master_seed)
+    results = run_units([TrialUnit(experiment, params, seed)
+                         for params in cells for seed in seeds])
+    return [results[i:i + trials] for i in range(0, len(results), trials)]

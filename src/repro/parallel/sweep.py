@@ -24,36 +24,21 @@ def sweep_units(trials=3, master_seed=0):
     """Build the sweep's trial units, in deterministic order."""
     from repro.experiments.supply import REFERENCE_WAVEFORMS
 
+    adaptive = {"strategy": "adaptive"}
+    cells = [("supply", {"waveform_name": waveform})
+             for waveform in REFERENCE_WAVEFORMS]
+    cells.append(("demand", {"utilization": 0.45}))
+    cells.extend(("speech", {"waveform_name": waveform, **adaptive})
+                 for waveform in REFERENCE_WAVEFORMS)
+    cells.extend(("web", {"waveform_name": waveform, **adaptive})
+                 for waveform in _WEB_WAVEFORMS)
+    cells.append(("video", {"waveform_name": "step-up", **adaptive}))
+    cells.append(("adaptation", {"waveform_name": "step-up"}))
+    cells.extend(("turbulence", {"width": width})
+                 for width in _TURBULENCE_WIDTHS)
     seeds = trial_seeds(trials, master_seed)
-    units = []
-    for waveform in REFERENCE_WAVEFORMS:
-        units.extend(TrialUnit("supply", {"waveform_name": waveform}, seed)
-                     for seed in seeds)
-    units.extend(TrialUnit("demand", {"utilization": 0.45}, seed)
-                 for seed in seeds)
-    for waveform in REFERENCE_WAVEFORMS:
-        units.extend(
-            TrialUnit("speech",
-                      {"waveform_name": waveform, "strategy": "adaptive"},
-                      seed)
-            for seed in seeds)
-    for waveform in _WEB_WAVEFORMS:
-        units.extend(
-            TrialUnit("web",
-                      {"waveform_name": waveform, "strategy": "adaptive"},
-                      seed)
-            for seed in seeds)
-    units.extend(
-        TrialUnit("video",
-                  {"waveform_name": "step-up", "strategy": "adaptive"},
-                  seed)
-        for seed in seeds)
-    units.extend(TrialUnit("adaptation", {"waveform_name": "step-up"}, seed)
-                 for seed in seeds)
-    for width in _TURBULENCE_WIDTHS:
-        units.extend(TrialUnit("turbulence", {"width": width}, seed)
-                     for seed in seeds)
-    return units
+    return [TrialUnit(experiment, params, seed)
+            for experiment, params in cells for seed in seeds]
 
 
 def run_sweep(trials=3, master_seed=0, jobs=None, cache=None):

@@ -89,10 +89,19 @@ class EventTrace:
         under its own trace, ships ``trace.events()`` back, and the
         parent splices the shard in here.  Events keep their recorded
         timestamps and order; the ring buffer's capacity accounting
-        (:attr:`dropped`) applies as usual.
+        (:attr:`dropped`) applies as usual.  Every shard numbers its
+        spans from 1, so ids are renumbered from this trace's counter:
+        the merged stream gets the ids an in-process run would have.
         """
+        ids = {}
         count = 0
         for event in events:
+            if "span" in event:
+                if event["span"] not in ids:
+                    ids[event["span"]] = next(self._span_ids)
+                event = {**event, "span": ids[event["span"]]}
+                if event.get("parent") is not None:
+                    event["parent"] = ids.get(event["parent"], event["parent"])
             self._append(event)
             count += 1
         return count

@@ -184,3 +184,107 @@ def test_bench_capture_never_clobbers(tmp_path):
     (tmp_path / "BENCH_2026-08-05-2.json").write_text("{}")
     assert _unique_path(str(target)) \
         == str(tmp_path / "BENCH_2026-08-05-3.json")
+
+
+# -- Bad input stops at the parser (exit 2) or at the trial (ReproError) -----
+
+
+@pytest.mark.parametrize("command", ["fig8", "fig9", "fig10", "fig12",
+                                     "turbulence", "adaptation", "all"])
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_trials_below_one_is_a_usage_error(capsys, command, trials):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--trials", trials])
+    assert excinfo.value.code == 2
+    assert "--trials: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("utilization", ["0", "-0.5", "2"])
+def test_fig9_rejects_a_load_outside_the_unit_interval(utilization):
+    from repro.errors import ReproError
+
+    with pytest.raises(ReproError, match="utilization"):
+        main(["--no-cache", "fig9", "--utilization", utilization,
+              "--trials", "1"])
+
+
+@pytest.mark.parametrize("curve", ["4,x", ",", "4,0"])
+def test_fleet_curve_rejects_bad_client_counts(capsys, curve):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fleet", "--curve", curve])
+    assert excinfo.value.code == 2
+    assert "--curve" in capsys.readouterr().err
+
+
+def test_fleet_curve_parses_client_counts():
+    args = build_parser().parse_args(["fleet", "--curve", "250, 500"])
+    assert args.curve == [250, 500]
+
+
+# -- What the figure commands print, and how they fan out ---------------------
+
+#: sha256 of stdout from ``repro --no-cache <command> --trials 1``.
+GOLDEN_STDOUT = {
+    "fig8": "bc4bece3875674919c4587b398a6c4933b47da32878d68bf1681bb84312216d2",
+    "fig9": "37da2063a86084b7e5d732f1f5681fe8139874820d47beeeb21a8e20f0533f7e",
+    "fig12": "3a48d3e56a0673096b19e4b7ee3580b5271e36dd577ef0a0cadb04476d187494",
+    "turbulence":
+        "a463569b208a15e616b3ae322f4dcda662a0417cf34b2a7a5e4147d2f386634d",
+    "adaptation":
+        "fbf799d2072f67e4ad72207e53d69ffabd717a2137390c9fc64b1f0ee0c9861d",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
+def test_figure_report_text_is_pinned(capsys, command):
+    import hashlib
+
+    code, out = run_cli(capsys, "--no-cache", command, "--trials", "1")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
+
+
+def test_each_figure_fans_out_as_one_unit_list(capsys, monkeypatch):
+    """Every cell x trial of a figure goes to the runner in one call, so
+    ``--jobs`` can spread the whole grid."""
+    from repro.parallel import runner
+
+    real_run_units = runner.run_units
+    calls = []
+
+    def counting_run_units(units, **kwargs):
+        calls.append(len(units))
+        return real_run_units(units, **kwargs)
+
+    monkeypatch.setattr(runner, "run_units", counting_run_units)
+    for command, units in (("fig8", 12), ("fig9", 9), ("adaptation", 6)):
+        calls.clear()
+        code, _ = run_cli(capsys, "--no-cache", command, "--trials", "3")
+        assert code == 0
+        assert calls == [units], command
+
+
+def test_sections_match_the_figure_commands():
+    from repro.cli import SECTION_COMMANDS, _cmd_section
+    from repro.experiments.summary import EXTENSIONS, SECTIONS
+
+    parser = build_parser()
+    commands = {name for name, _ in SECTION_COMMANDS}
+    assert all(parser.parse_args([name]).fn is _cmd_section
+               for name in commands)
+    assert set(SECTIONS) == commands | {"fig8", "fig9"}
+    assert set(EXTENSIONS) <= set(SECTIONS)
+
+
+def test_build_parser_imports_no_figure_module():
+    from test_startup import probe
+
+    figure_modules = ("supply", "demand", "video", "web", "speech",
+                      "concurrent", "adaptation", "turbulence", "report",
+                      "summary")
+    out = probe("import sys\n"
+                "from repro.cli import build_parser\n"
+                "build_parser()\n"
+                f"print(sorted(name for name in {figure_modules!r}\n"
+                "             if 'repro.experiments.' + name in sys.modules))\n")
+    assert out == "[]"

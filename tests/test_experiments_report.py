@@ -1,12 +1,9 @@
 """Report formatting and calibration inventory."""
 
 from repro.experiments.calibration import calibration_lines
-from repro.experiments.report import (
-    format_demand_result,
-    format_supply_result,
-    series_to_csv,
-)
+from repro.experiments.report import format_demand_result, format_supply_result
 from repro.experiments.stats import Cell
+from repro.telemetry.export import series_to_csv
 
 
 def test_series_to_csv():

@@ -11,11 +11,10 @@ from repro.experiments.harness import seeded_rngs
 from repro.parallel import (
     ResultCache,
     TrialUnit,
-    chunked,
     overrides,
     register_trial_function,
     resolve_trial_function,
-    run_trials,
+    run_grid,
     run_units,
     sweep_units,
     trial_seeds,
@@ -69,10 +68,15 @@ def test_unresolvable_reference_raises(echo_experiment):
         resolve_trial_function("echo")
 
 
-def test_chunked_splits_flat_results():
-    assert chunked([1, 2, 3, 4, 5, 6], 3) == [[1, 2, 3], [4, 5, 6]]
-    with pytest.raises(ParallelError):
-        chunked([1], 0)
+def test_run_grid_splits_results_per_cell(echo_experiment):
+    seeds = trial_seeds(3, master_seed=5)
+    with overrides(jobs=1):
+        grid = run_grid("echo", [{"tag": "a"}, {"tag": "b"}], 3,
+                        master_seed=5)
+    assert grid == [[("a", seed) for seed in seeds],
+                    [("b", seed) for seed in seeds]]
+    with pytest.raises(ParallelError, match="trials"):
+        run_grid("echo", [{"tag": "a"}], 0)
 
 
 def test_results_come_back_in_unit_order(echo_experiment):
@@ -84,13 +88,14 @@ def test_results_come_back_in_unit_order(echo_experiment):
     assert results == [(0, 0), (1, 1), (2, 2)]
 
 
-def test_run_trials_serial_and_parallel_agree(echo_experiment):
-    serial = run_trials("echo", {"tag": "t"}, 3, master_seed=5,
-                        jobs=1, cache=None)
-    parallel = run_trials("echo", {"tag": "t"}, 3, master_seed=5,
-                          jobs=3, cache=None)
+def test_run_grid_serial_and_parallel_agree(echo_experiment):
+    cells = [{"tag": "a"}, {"tag": "b"}]
+    with overrides(jobs=1):
+        serial = run_grid("echo", cells, 3, master_seed=5)
+    with overrides(jobs=3):
+        parallel = run_grid("echo", cells, 3, master_seed=5)
     assert serial == parallel
-    assert [seed for _, seed in serial] == trial_seeds(3, master_seed=5)
+    assert [seed for _, seed in serial[1]] == trial_seeds(3, master_seed=5)
 
 
 def test_jobs_config_default_applies(echo_experiment):
@@ -123,6 +128,12 @@ def test_telemetry_shards_merge_in_unit_order():
     boundary = waveforms.index("step-down")
     assert set(waveforms[:boundary]) == {"step-up"}
     assert set(waveforms[boundary:]) == {"step-down"}
+    # Less the worker labels, the merged stream is the serial one: the
+    # same events in the same order, spans numbered the same.
+    with telemetry.enabled() as serial:
+        run_units(units, jobs=1, cache=None)
+    assert [{k: v for k, v in event.items() if k != "worker"}
+            for event in events] == list(serial.trace.events())
 
 
 def test_telemetry_bypasses_cache(tmp_path, echo_experiment):

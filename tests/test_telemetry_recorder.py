@@ -146,3 +146,28 @@ def test_records_keep_call_order_past_a_thousand_calls():
     assert rec.absorb(shard, worker=7) == 1
     assert rec.trace.events()[-1] == {**shard[0], "worker": 7}
     assert len(rec.trace) == len(expected) + 1
+
+
+def test_absorbed_shards_get_fresh_span_ids():
+    """Every worker numbers its spans from 1; the merge renumbers them so
+    ids stay unique and parent links follow their spans."""
+    def shard():
+        worker = TelemetryRecorder()
+        outer = worker.begin("outer")
+        inner = worker.begin("inner", parent=outer)
+        worker.end(inner)
+        worker.end(outer)
+        return worker.trace.events()
+
+    rec = TelemetryRecorder()
+    rec.end(rec.begin("local"))
+    rec.absorb(shard(), worker=1)
+    rec.absorb(shard(), worker=2)
+    spans = [(e["kind"], e["span"], e.get("parent"))
+             for e in rec.trace.events()]
+    assert spans == [("begin", 1, None), ("end", 1, None),
+                     ("begin", 2, None), ("begin", 3, 2),
+                     ("end", 3, None), ("end", 2, None),
+                     ("begin", 4, None), ("begin", 5, 4),
+                     ("end", 5, None), ("end", 4, None)]
+    assert rec.begin("next") == 6
