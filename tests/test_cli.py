@@ -135,17 +135,39 @@ def test_jobs_zero_means_all_cores(capsys):
 
 
 def test_second_run_is_cache_hit(capsys, tmp_path, monkeypatch):
+    import gc
     import time
 
+    from repro.parallel import runner
+
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    start = time.perf_counter()
-    run_cli(capsys, "fig8", "--waveform", "step-up", "--trials", "1")
-    cold = time.perf_counter() - start
-    start = time.perf_counter()
-    code, out = run_cli(capsys, "fig8", "--waveform", "step-up",
-                        "--trials", "1")
-    warm = time.perf_counter() - start
+    resolved = []
+    real_resolve = runner.resolve_trial_function
+
+    def counting_resolve(experiment):
+        resolved.append(experiment)
+        return real_resolve(experiment)
+
+    monkeypatch.setattr(runner, "resolve_trial_function", counting_resolve)
+
+    def timed_fig8():
+        # Timed as timeit does, with the collector off: a full collection
+        # of the suite's heap can take longer than the trial itself, and
+        # where it lands depends only on how much ran before.
+        gc.disable()
+        try:
+            start = time.perf_counter()
+            code, _ = run_cli(capsys, "fig8", "--waveform", "step-up",
+                              "--trials", "1")
+            return code, time.perf_counter() - start
+        finally:
+            gc.enable()
+
+    _, cold = timed_fig8()
+    assert resolved == ["supply"]
+    code, warm = timed_fig8()
     assert code == 0
+    assert resolved == ["supply"]  # the hit never runs the trial
     assert warm < cold  # the hit never rebuilds the simulation
     code, out = run_cli(capsys, "cache")
     assert "supply" in out
