@@ -37,7 +37,7 @@ def max_estimate_spike(rise_cap):
                          policy="jpeg50")
     player.start()
     sim.run(until=40.0)
-    history = viceroy.policy.shares.total_history
+    history = viceroy.policy.total_history
     return max(v for _, v in history)
 
 

@@ -31,7 +31,7 @@ def settle_with_window(window_bytes):
     )
     app.start()
     sim.run(until=90.0)
-    series = [(t - 30.0, v) for t, v in viceroy.policy.shares.total_history]
+    series = [(t - 30.0, v) for t, v in viceroy.policy.total_history]
     return settling_time(series, 30.0, LOW_BANDWIDTH, tolerance=0.10,
                          horizon=59.0)
 

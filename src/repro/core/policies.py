@@ -16,6 +16,8 @@ in the paper's Fig. 14 experiment:
   transition, but ignores the impact of other applications entirely.
 """
 
+from array import array
+
 from repro.errors import ReproError
 from repro.estimation.bandwidth import ConnectionEstimator
 from repro.estimation.share import ClientShares
@@ -46,6 +48,12 @@ class Policy:
         """Estimated bandwidth available to ``connection_id`` (bytes/s) or None."""
         raise NotImplementedError
 
+    def levels(self):
+        """``connection_id -> availability`` for one recheck of every
+        bandwidth window; a policy whose split shares work across
+        connections computes it once here."""
+        return self.availability
+
     def total(self):
         """Estimated total client bandwidth (bytes/s) or None."""
         raise NotImplementedError
@@ -63,6 +71,10 @@ class OdysseyPolicy(Policy):
     def __init__(self, **share_kwargs):
         self._share_kwargs = share_kwargs
         self.shares = None
+        # The total estimate after every throughput observation, unboxed:
+        # a 15-minute trial makes ~14 000 of them.
+        self._total_times = array("d")
+        self._totals = array("d")
 
     def attach(self, viceroy):
         super().attach(viceroy)
@@ -78,10 +90,21 @@ class OdysseyPolicy(Policy):
         self.shares.on_round_trip(log, entry)
 
     def on_throughput(self, log, entry):
-        self.shares.on_throughput(log, entry)
+        total = self.shares.on_throughput(log, entry)
+        self._total_times.append(self.viceroy.sim.now)
+        self._totals.append(total)
+
+    @property
+    def total_history(self):
+        """``[(time, total estimate), …]``, one per throughput observation:
+        the series the supply and turbulence experiments plot."""
+        return list(zip(self._total_times, self._totals))
 
     def availability(self, connection_id):
         return self.shares.availability(connection_id)
+
+    def levels(self):
+        return self.shares.split()
 
     def total(self):
         return self.shares.total

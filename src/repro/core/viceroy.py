@@ -387,7 +387,7 @@ class Viceroy:
         """Upcall each window on ``resource`` its level has left (only
         ``connection_id``'s, if given), choosing the level function once."""
         if resource is Resource.NETWORK_BANDWIDTH:
-            level_of = self.policy.availability
+            level_of = self.policy.levels()
         elif resource is Resource.NETWORK_LATENCY:
             level_of = self._one_way_latency
         else:

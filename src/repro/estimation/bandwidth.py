@@ -9,8 +9,8 @@ endpoint's log entries:
   window time less the request/acknowledgement half-trip — smoothed with
   gain 0.875.
 
-A record of every (time, estimate) pair is kept so experiments can plot the
-estimate series exactly as the paper's Fig. 8 does.
+The estimator holds only its filters and the round-trip window, so its
+memory does not grow with the number of windows it has seen.
 """
 
 from collections import deque
@@ -60,8 +60,6 @@ class ConnectionEstimator:
         self.aggregate_own_log = aggregate_own_log
         self.rtt_filter = EwmaFilter(rtt_gain, rise_cap=rtt_rise_cap)
         self.bandwidth_filter = EwmaFilter(throughput_gain)
-        #: (time, bandwidth estimate) pairs, one per throughput window.
-        self.history = []
         # (time, raw sample), samples increasing from head to tail: an
         # entry that a later one undercuts can never again be the minimum
         # and is dropped on arrival, so the head *is* the minimum.
@@ -135,7 +133,6 @@ class ConnectionEstimator:
         """
         sample = self.bandwidth_sample(entry, log)
         estimate = self.bandwidth_filter.update(sample)
-        self.history.append((self.sim.now, estimate))
         return estimate, sample
 
     def bandwidth_sample(self, entry, log=None):

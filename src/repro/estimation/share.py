@@ -73,7 +73,6 @@ class ClientShares:
         self.competing_horizon = competing_horizon
         self.competing_rate_floor = competing_rate_floor
         self.total_filter = EwmaFilter(gain)
-        self.total_history = []  # (time, total estimate)
         self._logs = {}  # connection_id -> RpcLog
         self._estimators = {}  # connection_id -> ConnectionEstimator
         #: Every tracked log's deliveries, merged as traffic passes: each
@@ -192,7 +191,6 @@ class ClientShares:
         else:
             sample = max(estimator.bandwidth_sample(entry, log), aggregate_raw)
         total = self.total_filter.update(sample)
-        self.total_history.append((self.sim.now, total))
         return total, sample, competing
 
     # -- queries -----------------------------------------------------------------
@@ -210,26 +208,43 @@ class ClientShares:
         single connection this degenerates to the total.  Returns None
         before any throughput observation.
         """
-        if connection_id not in self._logs:
-            raise ReproError(f"unknown connection {connection_id!r}")
+        return self.split()(connection_id)
+
+    def split(self):
+        """:meth:`availability` at this instant, as a function of the
+        connection id.
+
+        The total, the fair share and everyone's recent bytes are read
+        once, so a recheck of many windows pays one index query per
+        window rather than two, and the shared arithmetic once.
+        """
+        logs = self._logs
         total = self.total
-        if total is None:
-            return None
-        n = len(self._logs)
-        fair = self.fair_fraction * total / n
-        # Recent use as a byte ratio over the usage horizon: the rates'
-        # common 1/horizon cancels, leaving two index queries.
-        now = self.sim.now
-        start = now - self.usage_horizon
-        everyone = self._delivered_between(start, now)
-        if everyone <= 0:
-            weight = 1.0 / n
-        else:
-            weight = self._logs[connection_id].bytes_delivered_between(
-                start, now) / everyone
-        competed = (1.0 - self.fair_fraction) * total * weight
-        return fair + competed
+        n = len(logs)
+        if total is not None and n:
+            fair = self.fair_fraction * total / n
+            competed = (1.0 - self.fair_fraction) * total
+            # Recent use as a byte ratio over the usage horizon: the rates'
+            # common 1/horizon cancels, leaving one index query per level.
+            now = self.sim.now
+            start = now - self.usage_horizon
+            everyone = self._delivered_between(start, now)
+
+        def level(connection_id):
+            log = logs.get(connection_id)
+            if log is None:
+                raise ReproError(f"unknown connection {connection_id!r}")
+            if total is None:
+                return None
+            if everyone <= 0:
+                weight = 1.0 / n
+            else:
+                weight = log.bytes_delivered_between(start, now) / everyone
+            return fair + competed * weight
+
+        return level
 
     def snapshot(self):
         """A dict of availability per connection (diagnostics and tests)."""
-        return {cid: self.availability(cid) for cid in self._logs}
+        level = self.split()
+        return {cid: level(cid) for cid in self._logs}

@@ -133,13 +133,13 @@ def run_supply_trial(waveform_name, seed=0, chunk_bytes=64 * 1024,
     if track_window:
         _register_tracker(world, app.path)
     world.run_for(WAVEFORM_DURATION)
-    series = world.relative(world.viceroy.policy.shares.total_history)
+    series = world.relative(world.viceroy.policy.total_history)
     rec = telemetry.RECORDER
     if rec.enabled:
         # Absolute sim times keep the trace monotonic; ``prime`` lets
         # consumers shift to waveform-relative time themselves.
         rec.sample_series("fig8.estimate",
-                          world.viceroy.policy.shares.total_history,
+                          world.viceroy.policy.total_history,
                           waveform=waveform_name, prime=world.prime)
     initial, target, transition = _levels(waveform_name)
     settling = detection = None

@@ -58,7 +58,7 @@ def impulse_visibility(width, seed=0, low=LOW_BANDWIDTH, high=HIGH_BANDWIDTH):
     world.jitter_service(server.service)
     app.start()
     world.run_for(WAVEFORM_DURATION)
-    series = world.relative(world.viceroy.policy.shares.total_history)
+    series = world.relative(world.viceroy.policy.total_history)
     start = (WAVEFORM_DURATION - width) / 2
     # Allow the estimate one extra second to register the trailing samples
     # of a short burst (window completions land after the impulse ends).

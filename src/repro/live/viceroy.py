@@ -175,8 +175,7 @@ class LiveViceroy:
         """Availability snapshot keyed by client (diagnostics)."""
         return {
             "total": self.total(),
-            "clients": {name: self.availability(name)
-                        for name in self._logs},
+            "clients": self.shares.snapshot(),
             "reports_absorbed": self.reports_absorbed,
         }
 
@@ -265,9 +264,9 @@ class LiveBroker(BulkServerMixin, Broker):
         # One client's sample moves the shared total, and with it *every*
         # client's split — so every bandwidth window is rechecked against
         # its own owner's availability.
+        level_of = self.viceroy.shares.split()
         return level, self._recheck(
-            BANDWIDTH_RESOURCE,
-            lambda owner: self.viceroy.availability(owner.name))
+            BANDWIDTH_RESOURCE, lambda owner: level_of(owner.name))
 
     def describe(self):
         snapshot = super().describe()

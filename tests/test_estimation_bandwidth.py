@@ -154,8 +154,8 @@ def test_history_records_estimates(sim):
     estimator = ConnectionEstimator(sim)
     log = RpcLog(sim, "c")
     sim.run(until=2.0)
-    estimator.on_throughput(log, tput_entry(2.0, 1.0, 10_000))
-    assert len(estimator.history) == 1
-    at, value = estimator.history[0]
-    assert at == 2.0
-    assert value == estimator.bandwidth
+    estimate = estimator.on_throughput(log, tput_entry(2.0, 1.0, 10_000))
+    # The first sample primes the filter directly: 10 000 B over a 1 s
+    # window with no round trip known yet.
+    assert estimate == estimator.bandwidth == 10_000.0
+    assert estimator.bandwidth_filter.updates == 1

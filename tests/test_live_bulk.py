@@ -293,14 +293,22 @@ def test_every_fetched_byte_is_absorbed_exactly_once(bandwidth):
         assert result.windows <= receipts < result.fragments
 
 
+class LoopTurnThrottle:
+    """A link with no capacity limit that yields one loop turn per
+    fragment: every fragment reaches the receiver alone, a moment apart."""
+
+    async def acquire(self, nbytes):
+        await asyncio.sleep(0)
+
+
 def test_a_train_paced_a_loop_turn_per_fragment_is_still_one_train():
-    """An "unlimited" throttle still yields to the loop per fragment, so
-    every fragment reaches the receiver alone and a moment apart.  What
-    makes a train is the pause after it (``RECEIPT_HOLD``), not whether
-    the receiver happened to be slow enough for a queue to form."""
+    """Fragments that reach the receiver one loop turn apart are still
+    one train.  What makes a train is the pause after it
+    (``RECEIPT_HOLD``), not whether the receiver happened to be slow
+    enough for a queue to form."""
 
     async def scenario():
-        broker = await start_live_broker(throttle=Throttle(bandwidth=1e12))
+        broker = await start_live_broker(throttle=LoopTurnThrottle())
         client, receiver = await connect_receiver(broker, "alpha")
         try:
             transfer_id = await receiver.open("blob", 1 << 20)
@@ -317,6 +325,33 @@ def test_a_train_paced_a_loop_turn_per_fragment_is_still_one_train():
     assert bulk["receipt_bytes"] == bulk["bytes_streamed"] == 262_144
     # One per window unless the host stalled mid-train; never one each.
     assert result.windows <= bulk["receipts_absorbed"] <= 16
+
+
+@pytest.mark.parametrize("bandwidth, sleeps_per_fragment", [
+    pytest.param(1e12, 0, id="unlimited-link-never-sleeps"),
+    pytest.param(2e6, 1, id="paced-link-sleeps-per-fragment"),
+])
+def test_throttle_sleeps_only_for_link_time_worth_a_timer(
+        bandwidth, sleeps_per_fragment):
+    """An 8 KiB fragment is 8 ns of link time at 1 TB/s, under the pacing
+    granularity, and 4.1 ms at 2 MB/s, over it."""
+    throttle = Throttle(bandwidth=bandwidth)
+
+    async def scenario():
+        broker = await start_live_broker(throttle=throttle)
+        client, receiver = await connect_receiver(broker, "alpha")
+        try:
+            transfer_id = await receiver.open("blob", 1 << 20)
+            return await receiver.fetch(transfer_id, 65_536,
+                                        window_bytes=32_768,
+                                        fragment_bytes=8_192)
+        finally:
+            await client.close()
+            await broker.close()
+
+    result = run(scenario())
+    assert result.fragments == throttle.fragments_shaped == 8
+    assert throttle.sleeps == sleeps_per_fragment * result.fragments
 
 
 def test_unreported_fetch_sends_no_samples_at_all():

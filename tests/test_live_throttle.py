@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import BrokerError
 from repro.live import Throttle, square_wave
+from repro.live.throttle import PACING_GRANULARITY
 from repro.trace.replay import ReplayTrace, Segment
 
 
@@ -90,6 +91,46 @@ def test_concurrent_acquirers_split_the_link():
 
     # 2000 bytes through 1000 B/s: 2 s of link time in total.
     assert run(scenario()) == pytest.approx(2.0)
+
+
+def test_fragment_due_within_a_granularity_goes_out_without_a_sleep():
+    async def scenario():
+        clock = FakeClock()
+        # Half a granularity of link time.
+        throttle = Throttle(bandwidth=1e6, clock=clock)
+        await throttle.acquire(int(PACING_GRANULARITY * 1e6 / 2))
+        return clock, throttle
+
+    clock, throttle = run(scenario())
+    assert clock.sleeps == [] and throttle.sleeps == 0
+    assert clock.now() == 100.0
+    # The link time stays on the cursor for the next acquirer to queue on.
+    assert throttle._free_at == pytest.approx(100.0 + PACING_GRANULARITY / 2)
+    assert throttle.fragments_shaped == 1
+
+
+def test_unslept_link_time_keeps_the_modelled_rate():
+    """10 000 one-byte fragments at 1 MB/s: each is 1 us of link time, far
+    under a granularity, yet the cursor ends exactly 10 ms on and the
+    link never runs more than a granularity ahead of it."""
+    rate = 1e6
+
+    async def scenario():
+        clock = FakeClock()
+        throttle = Throttle(bandwidth=rate, clock=clock)
+        ahead = 0.0
+        for _ in range(10_000):
+            await throttle.acquire(1)
+            ahead = max(ahead, throttle._free_at - clock.now())
+        return clock, throttle, ahead
+
+    clock, throttle, ahead = run(scenario())
+    assert throttle._free_at == pytest.approx(100.0 + 10_000 / rate,
+                                              rel=0, abs=1e-9)
+    assert ahead <= PACING_GRANULARITY
+    assert clock.sleeps and min(clock.sleeps) > PACING_GRANULARITY
+    assert throttle.sleeps == len(clock.sleeps) < 10
+    assert throttle.fragments_shaped == 10_000
 
 
 def test_blackout_segment_parks_the_link():

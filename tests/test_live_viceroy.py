@@ -1,6 +1,8 @@
 """The live viceroy: wall-clock estimation behind the broker's RPC surface."""
 
 import asyncio
+import gc
+import tracemalloc
 
 import pytest
 
@@ -9,6 +11,7 @@ from repro.broker.server import REPORT_OP, REQUEST_OP
 from repro.errors import BrokerError, RemoteCallError
 from repro.live import LiveBroker, LiveViceroy, WallSim
 from repro.rpc.clock import MonotonicClock
+from repro.rpc.logs import RpcLog
 
 
 def run(coro):
@@ -109,6 +112,50 @@ def test_two_clients_split_the_total():
     snapshot = viceroy.describe()
     assert set(snapshot["clients"]) == {"a", "b"}
     assert snapshot["total"] == pytest.approx(total)
+
+
+class SteppingClock:
+    """A wall clock that moves on only when told to."""
+
+    def __init__(self):
+        self.time = 100.0
+
+    def now(self):
+        return self.time
+
+
+def test_estimator_memory_is_bounded_per_client(monkeypatch):
+    """A broker serves clients indefinitely, so the memory it holds for
+    one must not grow with the samples that client has sent.  Doubling
+    the throughput samples from N to 2N may grow what the viceroy
+    retains by at most 16 KiB; a (time, estimate) diary kept per sample
+    would grow it by roughly 200 B x N, over 400 KiB."""
+    samples = 2_000
+    bound = 16 * 1024
+    # The log keeps its newest entries only (``history_limit`` of them,
+    # up to twice that between compactions); keep that window small so
+    # the measurement sees the estimator, not where compaction stands.
+    monkeypatch.setattr(RpcLog, "history_limit", 8)
+    clock = SteppingClock()
+    viceroy = LiveViceroy(clock=clock)
+    viceroy.adopt("a")
+    body = {"kind": "throughput", "seconds": 0.05, "nbytes": 65_536}
+
+    def absorb(count):
+        for _ in range(count):
+            clock.time += 0.1
+            viceroy.absorb("a", body)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        at_n = absorb(samples)
+        at_2n = absorb(samples)
+    finally:
+        tracemalloc.stop()
+    assert viceroy.reports_absorbed == 2 * samples
+    assert at_2n - at_n <= bound
 
 
 # -- LiveBroker: the viceroy surface over real TCP ----------------------------

@@ -118,6 +118,6 @@ def test_estimation_tracks_faded_trace():
     app, _, _ = build_bitstream(sim, viceroy, network)
     app.start()
     sim.run(until=65.0)
-    tail = [v for t, v in viceroy.policy.shares.total_history if 55 <= t <= 64]
+    tail = [v for t, v in viceroy.policy.total_history if 55 <= t <= 64]
     mean_tail = sum(tail) / len(tail)
     assert mean_tail == pytest.approx(LOW_BANDWIDTH, rel=0.2)
