@@ -116,10 +116,12 @@ class BrokerClient:
     # -- calls --------------------------------------------------------------
 
     async def call(self, op, body=None, body_bytes=256,
-                   timeout=DEFAULT_CALL_TIMEOUT, probe=False):
+                   timeout=DEFAULT_CALL_TIMEOUT, probe=False, ahead=()):
         """One request/response exchange; raises
         :class:`~repro.errors.RpcTimeout` after ``timeout`` seconds and
-        :class:`~repro.errors.RemoteCallError` on a remote fault."""
+        :class:`~repro.errors.RemoteCallError` on a remote fault.
+        ``ahead`` holds messages that go in the request's socket write,
+        before it."""
         if self.channel is None or self.channel.closed:
             raise TransportError(f"{self.name}: not connected")
         seq = next(self._seq)
@@ -131,10 +133,14 @@ class BrokerClient:
         if rec.enabled:
             rec.count("broker_client.calls", op=op)
             span = rec.begin("broker_client.call", op=op, client=self.name)
-        self.channel.send(CallRequest(
+        request = CallRequest(
             connection_id=self.name, seq=seq, op=op,
             body=body, body_bytes=body_bytes, reply_port="",
-        ))
+        )
+        if ahead:
+            self.channel.send_train((*ahead, request))
+        else:
+            self.channel.send(request)
         try:
             response = await wait_with_deadline(future, timeout)
         except asyncio.TimeoutError:

@@ -40,7 +40,7 @@ def _cmd_waveform(args):
         trace = generate_scenario(args.name, duration_seconds=args.duration,
                                   seed=args.seed)
     else:
-        trace = waveform(args.name)  # unknown names raise, listing known ones
+        trace = waveform(args.name)
     if args.format == "trace":
         print(serialize_trace(trace), end="")
     else:  # csv of (time, bandwidth)
@@ -515,6 +515,27 @@ def positive_int(text):
     return value
 
 
+def positive_float(text):
+    """argparse type: a finite number above zero (anything else exits 2)."""
+    value = float(text)
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def waveform_name(text):
+    """argparse type: a reference waveform or a generated scenario family
+    (anything else exits 2, listing both)."""
+    from repro.trace.scenarios import SCENARIO_MODELS
+    from repro.trace.waveforms import WAVEFORMS
+
+    if text not in WAVEFORMS and text not in SCENARIO_MODELS:
+        known = ", ".join(sorted({*WAVEFORMS, *SCENARIO_MODELS}))
+        raise argparse.ArgumentTypeError(
+            f"unknown waveform {text!r}; known: {known}")
+    return text
+
+
 def client_counts(text):
     """argparse type for ``--curve``: comma-separated positive integers."""
     return [positive_int(part) for part in text.split(",")]
@@ -549,16 +570,16 @@ def build_parser():
 
     p = sub.add_parser("waveform", help="emit a reference waveform, the "
                                         "urban walk, or a generated scenario")
-    p.add_argument("name", help="step-up, step-down, impulse-up, "
-                                "impulse-down, urban-walk, ethernet; or a "
-                                "generated family: urban, highway, office, "
-                                "robustness")
+    p.add_argument("name", type=waveform_name,
+                   help="step-up, step-down, impulse-up, impulse-down, "
+                        "urban-walk, ethernet; or a generated family: "
+                        "urban, highway, office, robustness")
     p.add_argument("--format", choices=("trace", "csv"), default="trace")
-    p.add_argument("--step", type=float, default=0.5,
+    p.add_argument("--step", type=positive_float, default=0.5,
                    help="sampling step for csv output (seconds)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for generated scenario families")
-    p.add_argument("--duration", type=float, default=900.0,
+    p.add_argument("--duration", type=positive_float, default=900.0,
                    help="duration for generated scenario families (seconds)")
     p.set_defaults(fn=_cmd_waveform)
 

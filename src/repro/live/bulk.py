@@ -10,10 +10,15 @@ the same shape over real sockets:
   ``window_bytes`` starting at an offset, and the broker answers with a
   train of :class:`~repro.rpc.messages.Fragment` frames, the last one
   flagged ``last_in_window`` (and ``last_in_transfer`` at the end);
-- every fragment the broker sends passes through the shared
-  :class:`~repro.live.throttle.Throttle` (the synthetic link) and then
-  ``await drain()`` — real TCP backpressure, so a slow or stalled
-  receiver stops the sender instead of ballooning the send buffer;
+- every fragment the broker sends reserves the shared
+  :class:`~repro.live.throttle.Throttle` (the synthetic link), offered
+  when its window's request arrived, and leaves no earlier than a pacing
+  granularity before the link finishes it.  The fragments due together
+  form a train that goes out in one socket write, and every write is
+  followed by ``await drain()`` — real TCP backpressure, so a slow or
+  stalled receiver stops the sender instead of ballooning the send
+  buffer.  An unshaped window is one write; a paced one, one write per
+  fragment;
 - the receiver acknowledges the bytes it holds with a one-way
   :class:`~repro.rpc.messages.WindowAck` **receipt** (the ``delivery``
   sample) and reports each completed window's elapsed time with an
@@ -28,7 +33,7 @@ One window on the wire, receiver on the left::
     WindowAck(transfer, next_offset)   ->                      (no reply)
                                        <-  Fragment ... last_in_window
     WindowAck(transfer, next_offset)   ->                      (no reply)
-    CallRequest(__report__ throughput) ->
+    CallRequest(__report__ throughput) ->   (same socket write)
                                        <-  CallResponse(level)
 
 A receipt is *cumulative*: ``next_offset`` says "I hold this transfer up
@@ -60,7 +65,7 @@ from collections import deque
 
 from repro import telemetry
 from repro.broker.server import REPORT_OP
-from repro.errors import BrokerError, RpcTimeout
+from repro.errors import BrokerError, LinkDown, RpcTimeout
 from repro.rpc.clock import wait_with_deadline
 from repro.rpc.messages import Fragment, WindowAck, WindowRequest
 
@@ -170,8 +175,12 @@ class BulkServerMixin:
         # (a fetch retried after a timeout) stops at its next fragment.
         window = _Window(offset)
         self._windows.setdefault(session, {})[transfer_id] = window
-        task = asyncio.ensure_future(
-            self._stream_window(session, request, window, end, total))
+        # The window's fragments are offered to the link now, whenever the
+        # streamer gets round to reserving each one.
+        queued_at = (None if self.throttle is None
+                     else self.throttle.clock.now())
+        task = asyncio.ensure_future(self._stream_window(
+            session, request, window, end, total, queued_at))
         tasks = self._stream_tasks.setdefault(session, set())
         tasks.add(task)
         task.add_done_callback(tasks.discard)
@@ -194,50 +203,74 @@ class BulkServerMixin:
         self._absorb_sample(session, {"kind": "delivery", "nbytes": nbytes})
         return True
 
-    async def _stream_window(self, session, request, window, end, total):
-        """Send one window of fragments, throttle-paced and drain-gated."""
+    async def _stream_window(self, session, request, window, end, total,
+                             queued_at):
+        """Send one window of fragments, throttle-paced and drain-gated:
+        every fragment due within a pacing granularity joins one train,
+        and a train leaves before the stream sleeps for the next one."""
         offset = window.sent
         fragment_bytes = max(1, request.fragment_bytes)
-        rec = telemetry.RECORDER
+        throttle = self.throttle
+        train = []
         try:
             while True:
                 size = min(fragment_bytes, end - offset)
                 last_in_window = offset + size >= end
-                last_in_transfer = offset + size >= total
-                if self.throttle is not None and size > 0:
-                    await self.throttle.acquire(size)
+                if throttle is not None and size > 0:
+                    try:
+                        wake = throttle.reserve(size, queued_at)
+                    except LinkDown:
+                        # Dark for good: what is already due still leaves.
+                        await self._send_train(session, window, train)
+                        raise
+                    if wake is not None:
+                        await self._send_train(session, window, train)
+                        await throttle.sleep_until(wake)
                 if session.closed:
                     return
                 if self._windows[session].get(
                         request.transfer_id) is not window:
                     self.streams_aborted += 1  # superseded by a new request
                     return
-                session.channel.send(Fragment(
+                train.append(Fragment(
                     connection_id="broker", seq=next(self._bulk_seq),
                     transfer_id=request.transfer_id, offset=offset,
                     nbytes=size, last_in_window=last_in_window,
-                    last_in_transfer=last_in_transfer,
+                    last_in_transfer=offset + size >= total,
                 ))
-                # Receiptable from the moment it is on the socket.
-                window.sent = offset + size
-                # The backpressure point: a receiver that stops reading
-                # parks the stream here until its socket drains.
-                await session.channel.drain()
-                self.fragments_streamed += 1
-                self.bulk_bytes_streamed += size
-                if rec.enabled:
-                    rec.count("live.fragments", client=session.name)
                 offset += size
                 if last_in_window:
                     break
+            await self._send_train(session, window, train)
             self.windows_streamed += 1
         except asyncio.CancelledError:
             self.streams_aborted += 1
             raise
         except Exception:  # noqa: BLE001 - a dead receiver ends its own stream
             self.streams_aborted += 1
+            rec = telemetry.RECORDER
             if rec.enabled:
                 rec.count("live.streams_aborted", client=session.name)
+
+    async def _send_train(self, session, window, train):
+        """Write the fragments in ``train`` in one socket write, then wait
+        for the socket to drain; empties ``train``."""
+        if not train:
+            return
+        session.channel.send_train(train)
+        # Receiptable from the moment it is on the socket.
+        window.sent = train[-1].offset + train[-1].nbytes
+        count = len(train)
+        nbytes = window.sent - train[0].offset
+        train.clear()
+        # The backpressure point: a receiver that stops reading parks the
+        # stream here until its socket drains.
+        await session.channel.drain()
+        self.fragments_streamed += count
+        self.bulk_bytes_streamed += nbytes
+        rec = telemetry.RECORDER
+        if rec.enabled:
+            rec.count("live.fragments", count, client=session.name)
 
     # -- teardown -------------------------------------------------------------
 
@@ -376,8 +409,8 @@ class BulkReceiver:
         name = self.client.name
 
         def receipt(upto):
-            send(WindowAck(connection_id=name, seq=next(self._seq),
-                           transfer_id=transfer_id, next_offset=upto))
+            return WindowAck(connection_id=name, seq=next(self._seq),
+                             transfer_id=transfer_id, next_offset=upto)
 
         started = clock.now()
         try:
@@ -405,7 +438,7 @@ class BulkReceiver:
                                     f"{name}: no fragment for transfer "
                                     f"{transfer_id} within {timeout} s"
                                 ) from None
-                            receipt(held)  # the train paused
+                            send(receipt(held))  # the train paused
                             receipted = held
                         continue
                     fragment = fragments.popleft()
@@ -420,8 +453,9 @@ class BulkReceiver:
                         rec = telemetry.RECORDER
                         if rec.enabled:
                             rec.count("live.fragments_stale", client=name)
-                if report and held > receipted:
-                    receipt(held)
+                # The closing receipt leads the report in its socket write.
+                final = (receipt(held),) if report and held > receipted \
+                    else ()
                 window_got = held - offset
                 offset = held
                 result.nbytes += window_got
@@ -431,8 +465,10 @@ class BulkReceiver:
                     reply = await self.client.call(REPORT_OP, {
                         "kind": "throughput", "seconds": elapsed,
                         "nbytes": window_got,
-                    })
+                    }, ahead=final)
                     result.levels.append(reply.get("level"))
+                elif final:
+                    send(final[0])
                 if window_got == 0:
                     break  # empty terminal window (offset past the end)
             result.seconds = clock.now() - started

@@ -17,37 +17,55 @@ roughly ``rate / N``, which is exactly the contention the viceroy's
 fairly.  A zero-rate segment (a blackout) parks the virtual link until
 the trace comes back, stalling every transfer through it.
 
-Pacing has a timer granularity, :data:`PACING_GRANULARITY`: ``acquire``
-sleeps only when its fragment is due more than one granularity from now.
-A fragment due sooner goes out at once, its transmission time left on the
-``_free_at`` cursor.  The reason is timer cost: a sleep is a timer handle
-and a full event-loop turn, and on a fast link (8 KiB at 1 TB/s is 8 ns
-of link time) that is all it does, so every fragment would reach the
-receiver alone; without it a window goes out in one loop turn and the
-receiver takes the train in one wake-up.  The rate holds because the
-cursor does: every acquire advances it by ``n / rate`` from
-``max(now, _free_at)``, asleep or not, so it stands where per-fragment
-sleeping would put it, and an acquire returns at most one granularity
-before it.  The link is never more than one granularity ahead of its
-schedule.  A paced link (8 KiB at 2 MB/s is 4.1 ms) still sleeps for
-every fragment.
+Pacing is a reservation plus a sleep.  The bulk streamer reserves each
+fragment synchronously with :meth:`~Throttle.reserve`, offered at the
+instant its window's request reached the broker (``queued_at``), so the
+fragment starts at ``max(queued_at, cursor)`` and finishes ``n / rate``
+later: the recurrence :meth:`SimplexLink.send
+<repro.net.link.SimplexLink.send>` uses, on the same single ``_free_at``
+cursor.  The reservation returns the finish time, and the streamer does
+not release the fragment before it.  Starting from the queue time rather
+than from "now" is what holds the rate end to end: a sleep always wakes
+a little late, and a link that restarted its cursor at the wake-up would
+add every wake-up's lateness to the window.  Here the lateness is caught
+up by the next fragment, so a window ends one lateness after its
+schedule, not one per fragment.
+
+Pacing has a timer granularity, :data:`PACING_GRANULARITY`.  A fragment
+that holds the link for at most a granularity and finishes at most a
+granularity from now is due at once: :meth:`~Throttle.reserve` returns
+``None`` for it.  The reason is timer cost: a sleep is a timer handle and
+a full event-loop turn, and on a fast link (8 KiB at 1 TB/s is 8 ns of
+link time) that is all it does.  Every fragment due at once joins one
+train, which the streamer writes to the socket in one write.  So no
+fragment leaves more than one granularity before its finish on the
+cursor, and the link is never more than one granularity ahead of its
+schedule.  A fragment longer than a granularity (8 KiB at 2 MB/s is
+4.1 ms) always waits for its own finish and leaves alone, however late
+the last wake-up was: how many writes a window costs is set by the link,
+not by the host's timers.
+
+A link that can never transmit again, because a non-looping trace ends
+on a zero-rate segment, raises :class:`~repro.errors.LinkDown` from
+``reserve``, as the simulator's link does; a trace with no transmitting
+segment at all is rejected at construction.
 """
 
-from repro.errors import BrokerError
+from repro.errors import BrokerError, LinkDown
 from repro.rpc.clock import MonotonicClock
 
-#: How far ``acquire`` steps through a zero-rate (blackout) stretch while
+#: How far ``reserve`` steps through a zero-rate (blackout) stretch while
 #: looking for the next transmitting instant, seconds.
 DEAD_ZONE_STEP = 0.05
 
-#: Shortest link time ``acquire`` sleeps for, seconds: a fragment due
-#: within this of now goes out at once (RFC 9002's ``kGranularity``; the
+#: Shortest wait a reservation asks for, seconds: a fragment due within
+#: this of now goes out at once (RFC 9002's ``kGranularity``; the
 #: same millisecond as the receiver's ``RECEIPT_HOLD``).
 PACING_GRANULARITY = 0.001
 
 
 class Throttle:
-    """A wall-clock serial link: fragments acquire it one at a time."""
+    """A wall-clock serial link: fragments reserve it one at a time."""
 
     def __init__(self, bandwidth=None, trace=None, clock=None, loop=True):
         if (bandwidth is None) == (trace is None):
@@ -56,6 +74,10 @@ class Throttle:
         if bandwidth is not None and bandwidth <= 0:
             raise BrokerError(f"throttle bandwidth must be positive, "
                               f"got {bandwidth!r}")
+        if trace is not None and not any(
+                segment.bandwidth > 0 for segment in trace.segments):
+            raise BrokerError(f"throttle trace {trace.name!r} never "
+                              f"transmits: every segment has zero bandwidth")
         self.bandwidth = bandwidth
         self.trace = trace
         #: Replay the trace cyclically (a finite waveform drives an
@@ -66,7 +88,8 @@ class Throttle:
         self._free_at = self.started
         self.bytes_shaped = 0
         self.fragments_shaped = 0
-        #: Acquires that slept (the rest were due within a granularity).
+        #: Reservations the streamer waited for (the rest were due at
+        #: once).
         self.sleeps = 0
 
     def rate_at(self, elapsed):
@@ -82,28 +105,46 @@ class Throttle:
         """Current link capacity, bytes/s."""
         return self.rate_at(self.clock.now() - self.started)
 
-    async def acquire(self, nbytes):
-        """Hold the link for ``nbytes`` worth of transmission time.
+    def reserve(self, nbytes, queued_at):
+        """Queue ``nbytes`` on the link, offered at ``queued_at``.
 
-        Returns once the virtual link has finished "transmitting" the
-        fragment, or at once if that is at most :data:`PACING_GRANULARITY`
-        away; concurrent acquirers serialize through ``_free_at`` exactly
-        like packets queueing on a modem.
+        The fragment starts once the link is free and it has been offered,
+        ``max(queued_at, cursor)``, and holds the link for ``nbytes`` of
+        transmission time; concurrent streams serialize through the cursor
+        like packets queueing on a modem.  Returns the instant it finishes,
+        before which it must not be released, or ``None`` when it is due
+        at once (see the module docstring).  Raises
+        :class:`~repro.errors.LinkDown` if the link never transmits again.
         """
-        now = self.clock.now()
-        start = max(now, self._free_at)
+        start = max(queued_at, self._free_at)
         rate = self.rate_at(start - self.started)
-        while rate <= 0:
+        if rate <= 0:
             # A blackout segment: walk forward to the next instant the
-            # trace transmits at all.
-            start += DEAD_ZONE_STEP
-            rate = self.rate_at(start - self.started)
-        self._free_at = start + nbytes / rate
+            # trace transmits at all.  One trace length covers a whole
+            # period of a looping trace and the end of one that is not.
+            horizon = start + self.trace.duration
+            while rate <= 0:
+                start += DEAD_ZONE_STEP
+                if start > horizon:
+                    raise LinkDown(f"throttle trace {self.trace.name!r}: "
+                                   f"bandwidth zero from here on; cannot "
+                                   f"transmit {nbytes} bytes")
+                rate = self.rate_at(start - self.started)
+        hold = nbytes / rate
+        self._free_at = finish = start + hold
         self.bytes_shaped += nbytes
         self.fragments_shaped += 1
-        delay = self._free_at - now
-        if delay > PACING_GRANULARITY:
-            self.sleeps += 1
+        if hold > PACING_GRANULARITY \
+                or finish - self.clock.now() > PACING_GRANULARITY:
+            return finish
+        return None
+
+    async def sleep_until(self, when):
+        """Sleep until ``when``, the finish :meth:`reserve` returned (not
+        at all if that has passed)."""
+        self.sleeps += 1
+        delay = when - self.clock.now()
+        if delay > 0:
             await self.clock.sleep(delay)
 
 

@@ -35,10 +35,15 @@ def test_waveform_csv_format(capsys):
 
 
 def test_unknown_waveform_errors(capsys):
-    from repro.errors import ReproError
-
-    with pytest.raises(ReproError):
+    with pytest.raises(SystemExit) as excinfo:
         main(["waveform", "sine"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    # One error line, naming the reference waveforms and the families.
+    (error,) = [line for line in err.splitlines() if "error:" in line]
+    assert "unknown waveform 'sine'" in error
+    assert "urban-walk" in error and "robustness" in error
 
 
 def test_fig8_single_waveform(capsys):
@@ -219,6 +224,22 @@ def test_trials_below_one_is_a_usage_error(capsys, command, trials):
         main([command, "--trials", trials])
     assert excinfo.value.code == 2
     assert "--trials: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["urban", "--duration", "-5"], "argument --duration: must be positive"),
+    (["step-up", "--format", "csv", "--step", "0"],
+     "argument --step: must be positive"),
+    (["urban", "--duration", "inf"], "argument --duration: must be positive"),
+])
+def test_bad_waveform_sampling_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["waveform", *argv])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (error,) = [line for line in err.splitlines() if "error:" in line]
+    assert message in error
 
 
 @pytest.mark.parametrize("utilization", ["0", "-0.5", "2"])

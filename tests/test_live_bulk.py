@@ -7,6 +7,7 @@ import pytest
 from repro.broker import BrokerClient
 from repro.errors import BrokerError, RemoteCallError, RpcTimeout
 from repro.live import BulkReceiver, LiveBroker, Throttle
+from repro.rpc.clock import MonotonicClock
 from repro.rpc.messages import Fragment, WindowAck, WindowRequest
 from repro.transport.tcp import connect_tcp
 
@@ -297,8 +298,13 @@ class LoopTurnThrottle:
     """A link with no capacity limit that yields one loop turn per
     fragment: every fragment reaches the receiver alone, a moment apart."""
 
-    async def acquire(self, nbytes):
-        await asyncio.sleep(0)
+    clock = MonotonicClock()
+
+    def reserve(self, nbytes, queued_at):
+        return queued_at  # never due at once: the streamer sleeps...
+
+    async def sleep_until(self, when):
+        await asyncio.sleep(0)  # ...for one loop turn
 
 
 def test_a_train_paced_a_loop_turn_per_fragment_is_still_one_train():
@@ -352,6 +358,48 @@ def test_throttle_sleeps_only_for_link_time_worth_a_timer(
     result = run(scenario())
     assert result.fragments == throttle.fragments_shaped == 8
     assert throttle.sleeps == sleeps_per_fragment * result.fragments
+
+
+@pytest.mark.parametrize("bandwidth, trains", [
+    pytest.param(None, 1, id="unshaped-window-is-one-write"),
+    pytest.param(2e6, 8, id="paced-window-is-a-write-per-fragment"),
+])
+def test_a_window_costs_a_socket_write_per_due_train(bandwidth, trains):
+    """The broker writes every fragment due within a pacing granularity
+    in one write: an unshaped 64 KiB window is one train of eight, and
+    at 2 MB/s each 8 KiB fragment (4.1 ms of link time) is its own.  The
+    receiver's closing receipt leads its report in one write."""
+
+    async def scenario():
+        broker = await start_live_broker(
+            throttle=bandwidth and Throttle(bandwidth=bandwidth))
+        client, receiver = await connect_receiver(broker, "alpha")
+        try:
+            transfer_id = await receiver.open("blob", 1 << 20)
+            sender = broker._named["alpha"].channel
+            counts = (sender.writes, sender.frames_sent,
+                      client.channel.writes, client.channel.frames_sent)
+            result = await receiver.fetch(transfer_id, 65_536,
+                                          window_bytes=65_536,
+                                          fragment_bytes=8_192)
+            return result, (sender.writes, sender.frames_sent,
+                            client.channel.writes,
+                            client.channel.frames_sent), counts
+        finally:
+            await client.close()
+            await broker.close()
+
+    result, after, before = run(scenario())
+    writes, frames, rx_writes, rx_frames = (
+        a - b for a, b in zip(after, before))
+    assert result.fragments == 8 and result.windows == 1
+    # The fragments, then the report's reply.
+    assert (writes, frames) == (trains + 1, 8 + 1)
+    # Request, mid-window receipts, then receipt + report: one write
+    # carries two frames.
+    assert rx_frames - rx_writes == 1
+    if bandwidth is None:
+        assert (rx_writes, rx_frames) == (2, 3)
 
 
 def test_unreported_fetch_sends_no_samples_at_all():
