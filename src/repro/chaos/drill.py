@@ -59,7 +59,7 @@ def reset_in_flight(conn, reason="crash drill"):
     killed = 0
     for seq, waiter in list(conn._pending.items()):
         # Plain calls wait on the Event itself; windowed fetches wait on
-        # the window state's ``.event``.
+        # the fetch's ``.event``.
         event = getattr(waiter, "event", waiter)
         if not event.triggered:
             event.fail(RpcError(

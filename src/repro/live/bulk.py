@@ -1,15 +1,13 @@
 """Receiver-driven bulk transfer over the live broker (paper §6.3).
 
-The sim's RPC protocol models windowed bulk transfer; this module runs
-the same shape over real sockets:
+The protocol is the sim's, from :mod:`repro.rpc.transfer`: the client
+opens a named blob (``__open__``, an ordinary call), then pulls it one
+window at a time — a :class:`~repro.rpc.messages.WindowRequest` per
+window, answered by a flagged train of
+:class:`~repro.rpc.messages.Fragment` frames.  That module cuts the
+windows and fragments and decides when a window closes and when the
+transfer is done.  What this shell adds is the wire:
 
-- the client *opens* a named blob (``__open__``, an ordinary call) and
-  learns its transfer id and size;
-- it then pulls the payload one **window** at a time: a
-  :class:`~repro.rpc.messages.WindowRequest` frame asks for
-  ``window_bytes`` starting at an offset, and the broker answers with a
-  train of :class:`~repro.rpc.messages.Fragment` frames, the last one
-  flagged ``last_in_window`` (and ``last_in_transfer`` at the end);
 - every fragment the broker sends reserves the shared
   :class:`~repro.live.throttle.Throttle` (the synthetic link), offered
   when its window's request arrived, and leaves no earlier than a pacing
@@ -19,12 +17,13 @@ the same shape over real sockets:
   stalled receiver stops the sender instead of ballooning the send
   buffer.  An unshaped window is one write; a paced one, one write per
   fragment;
-- the receiver acknowledges the bytes it holds with a one-way
-  :class:`~repro.rpc.messages.WindowAck` **receipt** (the ``delivery``
-  sample) and reports each completed window's elapsed time with an
-  awaited ``__report__`` (the ``throughput`` sample) — the same passive
-  samples the sim protocol logs as a side effect of traffic — which is
-  what keeps the live viceroy's estimate honest.
+- the receiver holds only bytes that continue what it holds (TCP keeps
+  order, so anything else is the tail of an abandoned train), receipts
+  them with a one-way :class:`~repro.rpc.messages.WindowAck` (the
+  ``delivery`` sample) and reports each completed window's elapsed time
+  with an awaited ``__report__`` (the ``throughput`` sample) — the same
+  passive samples the sim protocol logs as a side effect of traffic —
+  which is what keeps the live viceroy's estimate honest.
 
 One window on the wire, receiver on the left::
 
@@ -49,9 +48,9 @@ seconds rather than left to queue timing.)  The broker keeps
 and absorbs ``next_offset - acked`` bytes as a delivery sample only when
 ``acked < next_offset <= sent``; any other receipt cannot be matched to
 bytes it streamed and tears the session down, like a window against an
-unopened transfer.  The throughput report stays a call: it returns the
-level, and TCP ordering makes its reply the proof that every earlier
-receipt was absorbed.
+unopened transfer or one asking for fragments under a byte.  The
+throughput report stays a call: it returns the level, and TCP ordering
+makes its reply the proof that every earlier receipt was absorbed.
 
 Fragments are *sized, not serialized*: like the sim's messages they
 carry byte counts rather than payloads, so the wire cost is a frame
@@ -68,6 +67,7 @@ from repro.broker.server import REPORT_OP
 from repro.errors import BrokerError, LinkDown, RpcTimeout
 from repro.rpc.clock import wait_with_deadline
 from repro.rpc.messages import Fragment, WindowAck, WindowRequest
+from repro.rpc.transfer import WindowedFetch, fragments
 
 #: Ordinary call that registers a blob for pulling: body
 #: ``{"name": str, "nbytes": int}`` -> ``{"transfer_id": int, "nbytes": int}``.
@@ -148,9 +148,9 @@ class BulkServerMixin:
     # -- inbound stream frames ------------------------------------------------
 
     def _on_stream(self, session, message):
-        # A window against nothing we opened, or a receipt for bytes we
-        # did not stream, is a protocol violation, same as any other
-        # unexpected frame.
+        # A window against nothing we opened or cut into fragments under
+        # a byte, or a receipt for bytes we did not stream, is a protocol
+        # violation, same as any other unexpected frame.
         if isinstance(message, WindowRequest):
             if self._open_window(session, message):
                 return
@@ -163,7 +163,8 @@ class BulkServerMixin:
         transfer_id = request.transfer_id
         if session.name is None or transfer_id not in self._contents \
                 or not _all_ints(transfer_id, request.offset,
-                                 request.window_bytes, request.fragment_bytes):
+                                 request.window_bytes, request.fragment_bytes) \
+                or request.fragment_bytes < 1:
             return False
         _, total = self._contents[transfer_id]
         # An offset at (or past) the end is a legitimate race, not a
@@ -208,14 +209,11 @@ class BulkServerMixin:
         """Send one window of fragments, throttle-paced and drain-gated:
         every fragment due within a pacing granularity joins one train,
         and a train leaves before the stream sleeps for the next one."""
-        offset = window.sent
-        fragment_bytes = max(1, request.fragment_bytes)
         throttle = self.throttle
         train = []
         try:
-            while True:
-                size = min(fragment_bytes, end - offset)
-                last_in_window = offset + size >= end
+            for offset, size, last_in_window, last_in_transfer in fragments(
+                    window.sent, end, total, request.fragment_bytes):
                 if throttle is not None and size > 0:
                     try:
                         wake = throttle.reserve(size, queued_at)
@@ -236,11 +234,8 @@ class BulkServerMixin:
                     connection_id="broker", seq=next(self._bulk_seq),
                     transfer_id=request.transfer_id, offset=offset,
                     nbytes=size, last_in_window=last_in_window,
-                    last_in_transfer=offset + size >= total,
+                    last_in_transfer=last_in_transfer,
                 ))
-                offset += size
-                if last_in_window:
-                    break
             await self._send_train(session, window, train)
             self.windows_streamed += 1
         except asyncio.CancelledError:
@@ -399,11 +394,15 @@ class BulkReceiver:
         ``__report__`` estimation sample — the passive feed the live
         viceroy shares out; ``report=False`` sends no samples at all.
         """
+        if window_bytes < 1 or fragment_bytes < 1:
+            raise BrokerError("window_bytes and fragment_bytes must be >= 1, "
+                              f"got {window_bytes!r} and {fragment_bytes!r}")
         if transfer_id in self._queues:
             raise BrokerError(f"transfer {transfer_id} already being fetched")
         inbox = self._queues[transfer_id] = _Inbox()
-        fragments = inbox.fragments
+        arrived = inbox.fragments
         result = TransferResult(transfer_id)
+        fetch = WindowedFetch(nbytes, window_bytes)
         clock = self.client.clock
         send = self.client.channel.send
         name = self.client.name
@@ -414,21 +413,19 @@ class BulkReceiver:
 
         started = clock.now()
         try:
-            offset = 0
-            done = False
-            while not done and offset < nbytes:
+            while (window := fetch.next_window()) is not None:
+                offset, size = window
                 window_started = clock.now()
                 send(WindowRequest(
                     connection_id=name, seq=next(self._seq),
                     transfer_id=transfer_id, offset=offset,
-                    window_bytes=min(window_bytes, nbytes - offset),
-                    fragment_bytes=fragment_bytes, reply_port="",
+                    window_bytes=size, fragment_bytes=fragment_bytes,
+                    reply_port="",
                 ))
-                held = receipted = offset
-                closed = False
-                while not closed:
-                    if not fragments:
-                        unreceipted = report and held > receipted
+                receipted = offset
+                while True:
+                    if not arrived:
+                        unreceipted = report and fetch.held > receipted
                         try:
                             await inbox.wait(RECEIPT_HOLD if unreceipted
                                              else timeout)
@@ -438,39 +435,38 @@ class BulkReceiver:
                                     f"{name}: no fragment for transfer "
                                     f"{transfer_id} within {timeout} s"
                                 ) from None
-                            send(receipt(held))  # the train paused
-                            receipted = held
+                            send(receipt(fetch.held))  # the train paused
+                            receipted = fetch.held
                         continue
-                    fragment = fragments.popleft()
-                    if fragment.offset == held:
-                        held += fragment.nbytes
-                        result.fragments += 1
-                        if fragment.last_in_transfer:
-                            done = True
-                        closed = fragment.last_in_window
-                    else:
+                    fragment = arrived.popleft()
+                    # TCP keeps order, so a fragment that does not continue
+                    # the bytes held is the tail of an abandoned train.
+                    if fragment.offset != fetch.held:
                         result.fragments_stale += 1
                         rec = telemetry.RECORDER
                         if rec.enabled:
                             rec.count("live.fragments_stale", client=name)
+                        continue
+                    result.fragments += 1
+                    if fetch.take(fragment.offset, fragment.nbytes,
+                                  fragment.last_in_window,
+                                  fragment.last_in_transfer):
+                        break
                 # The closing receipt leads the report in its socket write.
+                held = fetch.held
                 final = (receipt(held),) if report and held > receipted \
                     else ()
-                window_got = held - offset
-                offset = held
-                result.nbytes += window_got
+                result.nbytes = held
                 result.windows += 1
                 elapsed = clock.now() - window_started
-                if report and window_got > 0 and elapsed > 0:
+                if report and fetch.received > 0 and elapsed > 0:
                     reply = await self.client.call(REPORT_OP, {
                         "kind": "throughput", "seconds": elapsed,
-                        "nbytes": window_got,
+                        "nbytes": fetch.received,
                     }, ahead=final)
                     result.levels.append(reply.get("level"))
                 elif final:
                     send(final[0])
-                if window_got == 0:
-                    break  # empty terminal window (offset past the end)
             result.seconds = clock.now() - started
             return result
         finally:

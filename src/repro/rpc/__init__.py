@@ -18,6 +18,8 @@ per-endpoint logs (:class:`RpcLog`) that the viceroy's estimators observe.
 - :class:`RpcConnection` — client-side endpoint: ``call`` for small
   exchanges, ``fetch``/``push`` for bulk transfers, each a generator to be
   driven with ``yield from`` inside a simulated process.
+- :mod:`repro.rpc.transfer` — the windowed transfer's cut and receiver,
+  with no clock and no transport; the live bulk plane runs it too.
 """
 
 from repro.rpc.connection import RpcConnection, RpcService

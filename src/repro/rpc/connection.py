@@ -8,10 +8,11 @@ simulated process drives them with ``yield from`` and receives the result::
         reply = yield from conn.call("ping", body_bytes=128)
         data = yield from conn.fetch("get-object", body={"name": "x"})
 
-Reliability: the simulated links never drop or corrupt packets, so there is
-no retransmission machinery.  The protocol's observable behaviour — what
-gets logged when — is what matters for reproducing the paper's estimation
-agility.
+Reliability: there is no retransmission machinery.  A fragment lost to an
+injected fault leaves its window short and the next window resumes after
+what arrived (:mod:`repro.rpc.transfer`); any other lost packet is a
+timeout.  The protocol's observable behaviour — what gets logged when — is
+what matters for reproducing the paper's estimation agility.
 """
 
 import itertools
@@ -33,6 +34,7 @@ from repro.rpc.messages import (
     WindowAck,
     WindowRequest,
 )
+from repro.rpc.transfer import WindowedFetch, fragments
 from repro.sim.queues import Semaphore
 
 #: Default window for bulk transfers (paper's protocol window).
@@ -130,7 +132,6 @@ class RpcService:
         self._handlers = {}
         self._bulk_sources = {}
         self._transfers_issued = 0  # transfer ids run 1.._transfers_issued
-        self._push_buffers = {}
         self._handlers[PING_OP] = lambda body: ServerReply(
             body={"pong": True}, body_bytes=PING_REPLY_BYTES
         )
@@ -198,6 +199,21 @@ class RpcService:
         spread = self._jitter_fraction
         return seconds * (1.0 + self._jitter_rng.uniform(-spread, spread))
 
+    def _compute(self, seconds):
+        """Spend a handler's ``seconds`` of compute, jittered and slowed,
+        on the server CPU; returns the time spent."""
+        seconds = self._jittered(seconds)
+        if seconds > 0:
+            if self._cpu is not None:
+                yield self._cpu.acquire()
+                try:
+                    yield self.sim.timeout(seconds)
+                finally:
+                    self._cpu.release()
+            else:
+                yield self.sim.timeout(seconds)
+        return seconds
+
     def register(self, op, handler):
         """Register ``handler(body)`` for operation ``op``.
 
@@ -256,16 +272,7 @@ class RpcService:
         except Exception as exc:  # noqa: BLE001 - surfaced at the caller's yield
             error = exc
             reply = ServerReply(body=None, body_bytes=HEADER_BYTES)
-        server_seconds = self._jittered(reply.compute_seconds)
-        if server_seconds > 0:
-            if self._cpu is not None:
-                yield self._cpu.acquire()
-                try:
-                    yield self.sim.timeout(server_seconds)
-                finally:
-                    self._cpu.release()
-            else:
-                yield self.sim.timeout(server_seconds)
+        server_seconds = yield from self._compute(reply.compute_seconds)
         bulk_ticket = None
         if reply.bulk is not None:
             bulk_ticket = (reply.bulk.transfer_id, reply.bulk.nbytes, reply.bulk.meta)
@@ -306,17 +313,14 @@ class RpcService:
             raise RpcError(
                 f"service {self.port!r}: empty window at offset {request.offset}"
             )
-        fragment_bytes = request.fragment_bytes
-        sent = 0
-        while sent < window:
-            nbytes = min(fragment_bytes, window - sent)
-            last_in_window = sent + nbytes >= window
-            last_in_transfer = request.offset + sent + nbytes >= end
+        for offset, nbytes, last_in_window, last_in_transfer in fragments(
+                request.offset, request.offset + window, end,
+                request.fragment_bytes):
             fragment = Fragment(
                 connection_id=request.connection_id,
                 seq=request.seq,
                 transfer_id=request.transfer_id,
-                offset=request.offset + sent,
+                offset=offset,
                 nbytes=nbytes,
                 last_in_window=last_in_window,
                 last_in_transfer=last_in_transfer,
@@ -330,16 +334,12 @@ class RpcService:
                     payload=fragment,
                 )
             )
-            sent += nbytes
         if source is not None:
-            source.consumed = max(source.consumed, request.offset + sent)
+            source.consumed = max(source.consumed, request.offset + window)
             if source.consumed >= end:
                 del self._bulk_sources[request.transfer_id]
 
     def _serve_push(self, push):
-        key = (push.connection_id, push.transfer_id)
-        state = self._push_buffers.setdefault(key, {"received": 0})
-        state["received"] += push.nbytes
         if push.last_in_window:
             # Ack the window immediately — the sender's throughput entry must
             # measure transmission, not server compute.
@@ -359,18 +359,8 @@ class RpcService:
                 )
             )
         if push.last_in_transfer:
-            del self._push_buffers[key]
             reply = yield from self._run_handler(push.body[0], push.body[1])
-            compute_seconds = self._jittered(reply.compute_seconds)
-            if compute_seconds > 0:
-                if self._cpu is not None:
-                    yield self._cpu.acquire()
-                    try:
-                        yield self.sim.timeout(compute_seconds)
-                    finally:
-                        self._cpu.release()
-                else:
-                    yield self.sim.timeout(compute_seconds)
+            compute_seconds = yield from self._compute(reply.compute_seconds)
             response = CallResponse(
                 connection_id=push.connection_id,
                 seq=push.response_seq,
@@ -394,18 +384,12 @@ def _host_of(reply_port):
     return reply_port.split("/", 1)[0]
 
 
-class _WindowState:
-    """Receive-side accounting for one in-flight bulk window.
+class _SimFetch(WindowedFetch):
+    """A :class:`WindowedFetch` that is also its window's pending entry:
+    ``event`` fires when the window in flight closes (and is what the
+    crash drill fails)."""
 
-    A slotted pair instead of a dict: one is allocated per window and its
-    ``received`` field is bumped once per arriving fragment.
-    """
-
-    __slots__ = ("received", "event")
-
-    def __init__(self, event):
-        self.received = 0
-        self.event = event
+    __slots__ = ("event",)
 
 
 class RpcConnection:
@@ -649,57 +633,49 @@ class RpcConnection:
         # attribute cannot change mid-operation (enable/disable happens
         # between runs, never inside one).
         rec = telemetry.RECORDER
-        offset = 0
-        while offset < nbytes:
-            window = min(self.window_bytes, nbytes - offset)
-            received = yield from self._fetch_window(transfer_id, offset,
-                                                     window, timeout, rec)
-            offset += received
-        return nbytes
-
-    def _fetch_window(self, transfer_id, offset, window, timeout=None, rec=None):
-        if rec is None:
-            rec = telemetry.RECORDER
-        seq = next(self._seq)
-        request = WindowRequest(
-            connection_id=self.connection_id,
-            seq=seq,
-            transfer_id=transfer_id,
-            offset=offset,
-            window_bytes=window,
-            fragment_bytes=self.fragment_bytes,
-            reply_port=self._port,
-        )
-        event = self.sim.event(name="window")
-        state = _WindowState(event)
-        started = self.sim.now
-        self._pending[seq] = state
-        span = None
-        if rec.enabled:
-            span = rec.begin("rpc.window", connection=self.connection_id,
-                             offset=offset, window_bytes=window)
-        self.client.send(
-            Packet(
-                src=self.client.name,
-                dst=self.server_name,
-                port=self.server_port,
-                size=HEADER_BYTES,
-                payload=request,
+        fetch = _SimFetch(nbytes, self.window_bytes)
+        while (window := fetch.next_window()) is not None:
+            offset, size = window
+            seq = next(self._seq)
+            request = WindowRequest(
+                connection_id=self.connection_id,
+                seq=seq,
+                transfer_id=transfer_id,
+                offset=offset,
+                window_bytes=size,
+                fragment_bytes=self.fragment_bytes,
+                reply_port=self._port,
             )
-        )
-        try:
-            yield from self._await(event, seq, timeout, f"window @{offset}")
-        except RpcTimeout:
+            fetch.event = self.sim.event(name="window")
+            started = self.sim.now
+            self._pending[seq] = fetch
+            span = None
+            if rec.enabled:
+                span = rec.begin("rpc.window", connection=self.connection_id,
+                                 offset=offset, window_bytes=size)
+            self.client.send(
+                Packet(
+                    src=self.client.name,
+                    dst=self.server_name,
+                    port=self.server_port,
+                    size=HEADER_BYTES,
+                    payload=request,
+                )
+            )
+            try:
+                yield from self._await(fetch.event, seq, timeout,
+                                       f"window @{offset}")
+            except RpcTimeout:
+                if span is not None:
+                    rec.end(span, status="timeout")
+                raise
             if span is not None:
-                rec.end(span, status="timeout")
-            raise
-        if span is not None:
-            rec.observe("rpc.window_seconds", self.sim.now - started,
-                        buckets=RPC_SECONDS_BUCKETS,
-                        connection=self.connection_id)
-            rec.end(span, status="ok", received=state.received)
-        self.log.add_throughput(started, state.received)
-        return state.received
+                rec.observe("rpc.window_seconds", self.sim.now - started,
+                            buckets=RPC_SECONDS_BUCKETS,
+                            connection=self.connection_id)
+                rec.end(span, status="ok", received=fetch.received)
+            self.log.add_throughput(started, fetch.received)
+        return nbytes
 
     # -- bulk push (sender-driven) ---------------------------------------------
 
@@ -719,30 +695,25 @@ class RpcConnection:
         response_seq = next(self._seq)
         response_event = self.sim.event(name="pushresp")
         self._pending[response_seq] = response_event
-        offset = 0
-        while offset < nbytes:
-            window = min(self.window_bytes, nbytes - offset)
+        for offset, window, _, _ in fragments(0, nbytes, nbytes,
+                                              self.window_bytes):
             started = self.sim.now
             seq = next(self._seq)
             event = self.sim.event(name="push")
             self._pending[seq] = event
-            last_in_transfer = offset + window >= nbytes
-            sent = 0
-            while sent < window:
-                frag = min(self.fragment_bytes, window - sent)
-                is_window_end = sent + frag >= window
-                is_transfer_end = last_in_transfer and is_window_end
+            for at, frag, last_in_window, last_in_transfer in fragments(
+                    offset, offset + window, nbytes, self.fragment_bytes):
                 push = BulkPush(
                     connection_id=self.connection_id,
                     seq=seq,
                     transfer_id=transfer_id,
-                    offset=offset + sent,
+                    offset=at,
                     nbytes=frag,
-                    last_in_window=is_window_end,
-                    last_in_transfer=is_transfer_end,
+                    last_in_window=last_in_window,
+                    last_in_transfer=last_in_transfer,
                     reply_port=self._port,
-                    body=(op, body) if is_transfer_end else None,
-                    response_seq=response_seq if is_transfer_end else None,
+                    body=(op, body) if last_in_transfer else None,
+                    response_seq=response_seq if last_in_transfer else None,
                 )
                 self.client.send(
                     Packet(
@@ -753,10 +724,8 @@ class RpcConnection:
                         payload=push,
                     )
                 )
-                sent += frag
             yield event
             self.log.add_throughput(started, window)
-            offset += window
         response = yield response_event
         self.log.add_delivery(response.body_bytes)
         if response.error is not None:
@@ -781,14 +750,14 @@ class RpcConnection:
                 self._abandoned.discard(message.seq)
             return
         if isinstance(message, Fragment):
-            state = self._pending.get(message.seq)
-            if state is None:
+            fetch = self._pending.get(message.seq)
+            if fetch is None:
                 raise RpcError(f"{self!r}: fragment for unknown seq {message.seq}")
-            state.received += message.nbytes
             self.log.add_delivery(message.nbytes)
-            if message.last_in_window:
+            if fetch.take(message.offset, message.nbytes,
+                          message.last_in_window, message.last_in_transfer):
                 del self._pending[message.seq]
-                state.event.succeed()
+                fetch.event.succeed()
         elif isinstance(message, CallResponse):
             waiter = self._pending.pop(message.seq, None)
             if waiter is None:

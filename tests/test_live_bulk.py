@@ -568,22 +568,52 @@ def test_retried_fetch_supersedes_the_train_still_in_flight():
 
 
 def test_non_integer_window_fields_are_a_violation_not_a_crash():
-    async def scenario():
+    """So is a fragment size below one byte: unchecked, it would cut a
+    window into one-byte fragments (a million for 1 MiB) in one train
+    and hold the broker's loop."""
+
+    async def scenario(offset, fragment_bytes):
         broker = await start_live_broker()
         client, receiver = await connect_receiver(broker, "alpha")
         try:
             transfer_id = await receiver.open("blob", 1 << 20)
             client.channel.send(WindowRequest(
                 connection_id="alpha", seq=1, transfer_id=transfer_id,
-                offset="0", window_bytes=1024, fragment_bytes=256,
-                reply_port=""))
+                offset=offset, window_bytes=1 << 20,
+                fragment_bytes=fragment_bytes, reply_port=""))
             closed = await wait_until(lambda: client.channel.closed)
             return closed, broker.describe_bulk()["fragments_streamed"]
         finally:
             await client.close(polite=False)
             await broker.close()
 
-    assert run(scenario()) == (True, 0)
+    for offset, fragment_bytes in (("0", 256), (0, 0), (0, -7)):
+        assert run(scenario(offset, fragment_bytes)) == (True, 0), \
+            (offset, fragment_bytes)
+
+
+def test_a_window_or_fragment_below_one_byte_is_refused_before_sending():
+    async def scenario():
+        broker = await start_live_broker()
+        client, receiver = await connect_receiver(broker, "alpha")
+        try:
+            transfer_id = await receiver.open("blob", 100_000)
+            frames = client.channel.frames_sent
+            refused = []
+            for shape in ({"window_bytes": 0}, {"fragment_bytes": 0},
+                          {"window_bytes": -1}, {"fragment_bytes": -7}):
+                with pytest.raises(BrokerError, match=">= 1"):
+                    await receiver.fetch(transfer_id, 100_000, **shape)
+                refused.append(shape)
+            return (refused, client.channel.frames_sent - frames,
+                    broker.describe_bulk()["windows_streamed"])
+        finally:
+            await client.close()
+            await broker.close()
+
+    refused, frames, windows = run(scenario())
+    assert len(refused) == 4
+    assert frames == windows == 0
 
 
 def test_bulk_plane_is_closed_to_a_session_that_never_said_hello():
