@@ -12,7 +12,8 @@ Run:  python examples/battery_aware.py
 """
 
 from repro.apps.video import Movie, MovieStore, VideoPlayer, build_video
-from repro.core import OdysseyAPI, Resource, Viceroy
+from repro.apps.video.player import UPGRADE_MARGIN
+from repro.core import FidelityLadder, OdysseyAPI, Resource, Viceroy
 from repro.core.monitors import BatteryMonitor
 from repro.net import Network
 from repro.sim import Simulator
@@ -25,16 +26,6 @@ LOW_BATTERY_MINUTES = 2.0
 class BatteryAwareVideoPlayer(VideoPlayer):
     """Adds a battery ceiling on top of the bandwidth-adaptive player."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.battery_capped = False
-
-    def best_track_for(self, level):
-        track = super().best_track_for(level)
-        if self.battery_capped and track == "jpeg99":
-            return "jpeg50"
-        return track
-
     def watch_battery(self):
         self.api.on_upcall("battery-low", self._on_battery)
         self.api.viceroy.request(
@@ -45,11 +36,12 @@ class BatteryAwareVideoPlayer(VideoPlayer):
     def _on_battery(self, upcall):
         print(f"  t={self.sim.now:5.1f}s  battery upcall: "
               f"{upcall.level:.2f} minutes left -> capping fidelity")
-        self.battery_capped = True
-        if self.current_track == "jpeg99":
-            self.stats.switches.append((self.sim.now, "jpeg99", "jpeg50"))
-            self.current_track = "jpeg50"
-            self._rebuffer_pending = True
+        # The core consults a ladder without jpeg99 from now on: move to
+        # the best track left and re-register around it.
+        self.core.ladder = FidelityLadder(("bw", "jpeg50"), self.demand,
+                                          UPGRADE_MARGIN)
+        self.core.recheck(self.api.availability(self.path))
+        self._negotiate()
 
 
 def _battery_descriptor(threshold):

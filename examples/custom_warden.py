@@ -11,8 +11,9 @@ bandwidth.
 Run:  python examples/custom_warden.py
 """
 
-from repro.apps.base import Application, negotiate
-from repro.core import FidelityLadder, OdysseyAPI, Resource, Viceroy, Warden
+from repro.apps.base import Application
+from repro.core import FidelityLadder, OdysseyAPI, Viceroy, Warden
+from repro.core.adaptive import AdaptiveClient
 from repro.errors import ProcessInterrupt
 from repro.net import Network
 from repro.rpc import RpcService, ServerReply
@@ -76,27 +77,22 @@ class TelemetryWarden(Warden):
 class MonitoringApp(Application):
     """Background monitoring (the paper's §2.3 information filter)."""
 
+    handler = "telemetry-bw"
+
     def __init__(self, sim, api, path):
         super().__init__(sim, api, "monitor")
         self.path = path
         self.windows = []
         # Slowest rate first; each demands its bytes plus protocol
         # headroom, and an upgrade needs 10 % over the faster rate's.
-        self.ladder = FidelityLadder(
+        self.core = AdaptiveClient(FidelityLadder(
             sorted(SAMPLING_RATES),
             lambda rate_hz: rate_hz * BYTES_PER_SAMPLE * 1.3,
             upper_margin=1.1,
-        )
-        self.rate_hz = None
-
-    def _register(self, level_hint=None):
-        def on_level(level):
-            self.rate_hz = self.ladder.best(level)
-            self.sim.process(self._apply_rate(self.rate_hz))
-
-        negotiate(self.api, self.path, Resource.NETWORK_BANDWIDTH,
-                  lambda level: self.ladder.window(self.rate_hz), on_level,
-                  level_hint=level_hint, handler="telemetry-bw")
+        ))
+        # Each rate the core picks is pushed to the warden.
+        self.core.on_fidelity = (
+            lambda now, rate: self.sim.process(self._apply_rate(rate)))
 
     def _apply_rate(self, rate):
         current = yield from self.api.tsop(self.path, "set-rate",
@@ -104,9 +100,7 @@ class MonitoringApp(Application):
         print(f"  t={self.sim.now:5.1f}s  sampling rate -> {current} Hz")
 
     def run(self):
-        self.api.on_upcall("telemetry-bw",
-                           lambda up: self._register(level_hint=up.level))
-        self._register()
+        self._join(None)  # no estimate yet: start at the fastest rate
         try:
             while True:
                 window = yield from self.api.tsop(self.path, "read-window", {})

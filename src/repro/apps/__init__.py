@@ -18,9 +18,11 @@ Plus the applications the paper motivates but never built:
 - :mod:`repro.apps.files` — cached files with §2.2's consistency dimension.
 
 Each application has static (fixed-fidelity) policies and an adaptive
-policy, because the paper's evaluation compares exactly those.
+policy, because the paper's evaluation compares exactly those.  Every
+adaptive policy is an :class:`~repro.core.adaptive.AdaptiveClient` over
+the application's own fidelity ladder.
 """
 
-from repro.apps.base import Application, negotiate
+from repro.apps.base import Application
 
-__all__ = ["Application", "negotiate"]
+__all__ = ["Application"]

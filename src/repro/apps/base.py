@@ -1,6 +1,8 @@
 """Shared application scaffolding."""
 
-from repro.errors import ToleranceError
+from repro.core.adaptive import CANCEL
+from repro.core.resources import Resource
+from repro.errors import RequestNotFound, ToleranceError
 
 
 class Application:
@@ -9,13 +11,23 @@ class Application:
     Subclasses implement :meth:`run` as a generator; :meth:`start` spawns
     it as a simulated process.  ``self.api`` is the application's
     :class:`~repro.core.api.OdysseyAPI`.
+
+    An adaptive application sets ``self.core`` to an
+    :class:`~repro.core.adaptive.AdaptiveClient`, ``self.path`` to the
+    object it adapts for, and :attr:`handler`; :meth:`_join` registers its
+    first bandwidth window and :meth:`_negotiate` carries out the core's
+    later registration steps.
     """
+
+    #: The upcall handler an adaptive application's windows name.
+    handler = None
 
     def __init__(self, sim, api, name):
         self.sim = sim
         self.api = api
         self.name = name
         self.process = None
+        self.core = None
 
     def start(self):
         """Spawn the application's main loop; returns the process."""
@@ -33,38 +45,45 @@ class Application:
         if self.process is not None and self.process.alive:
             self.process.interrupt("stop")
 
+    # -- adaptation ------------------------------------------------------------
 
-def negotiate(api, path, resource, window_for, on_level, level_hint=None,
-              handler="default"):
-    """Register a tolerance window, retrying on :class:`ToleranceError`.
+    def _join(self, level):
+        """Take upcalls, then register around the rung ``level`` sustains."""
+        self.api.on_upcall(self.handler, self._on_upcall)
+        self.core.join(level)
+        self._negotiate()
 
-    The paper's protocol: if ``request`` finds the resource outside the
-    window, it fails with the current level and "the application is then
-    expected to try again, with a new window of tolerance corresponding to
-    a new fidelity level".
+    def _on_upcall(self, upcall):
+        """Follow the violation's level and re-register at once (the
+        paper's §4.3 handler).  A paced streamer overrides this to defer
+        the re-registration to its chunk boundary."""
+        self.core.upcall(upcall.request_id, upcall.level, self.sim.now)
+        self._negotiate()
 
-    Parameters
-    ----------
-    window_for:
-        ``level -> (lower, upper)``: the tolerance window the application
-        wants given an observed availability (None means "no estimate yet"
-        — the mapping should return its optimistic default).
-    on_level:
-        Called with each observed level (including None on the first
-        attempt) so the caller can set its fidelity to match.
-    level_hint:
-        Availability level to seed the first attempt, if the caller already
-        knows one (e.g. from an upcall).
+    def _negotiate(self):
+        """Carry out the core's registration steps (``request`` answers at
+        once in the sim, so a whole negotiation takes no simulated time).
 
-    Returns the request id.
-    """
-    level = level_hint
-    while True:
-        on_level(level)
-        lower, upper = window_for(level)
-        try:
-            return api.request(path, resource, lower, upper, handler=handler)
-        except ToleranceError as err:
-            if level is not None and err.available == level:
-                raise  # the mapping is not converging; surface loudly
-            level = err.available
+        A ``request`` outside the window fails with the current level, and
+        "the application is then expected to try again, with a new window
+        of tolerance corresponding to a new fidelity level" (§4.2): the
+        core re-anchors on it, and raises
+        :class:`~repro.errors.NegotiationError` rather than ask for the
+        same window twice.
+        """
+        core = self.core
+        while (step := core.negotiation(self.sim.now)) is not None:
+            action, arg = step
+            if action == CANCEL:
+                try:
+                    self.api.cancel(arg)
+                except RequestNotFound:
+                    pass  # already gone: a departure cancelled it
+                core.cancelled()
+                continue
+            try:
+                core.accepted(self.api.request(
+                    self.path, Resource.NETWORK_BANDWIDTH, *arg,
+                    handler=self.handler))
+            except ToleranceError as err:
+                core.rejected(err.available)

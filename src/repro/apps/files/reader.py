@@ -2,10 +2,10 @@
 
 from dataclasses import dataclass, field
 
-from repro.apps.base import Application, negotiate
+from repro.apps.base import Application
 from repro.apps.files.warden import CONSISTENCY_LEVELS
+from repro.core.adaptive import AdaptiveClient
 from repro.core.ladder import FidelityLadder
-from repro.core.resources import Resource
 from repro.errors import ProcessInterrupt
 
 #: Bandwidth (bytes/s) above which each consistency level is affordable:
@@ -49,6 +49,8 @@ class DocumentReader(Application):
     staleness; the application itself never touches it.
     """
 
+    handler = "files-bandwidth"
+
     def __init__(self, sim, api, name, path, documents, server,
                  period_seconds=1.0, policy="adaptive", measure_from=0.0):
         super().__init__(sim, api, name)
@@ -59,30 +61,19 @@ class DocumentReader(Application):
         self.policy = policy
         self.measure_from = measure_from
         self.stats = ReaderStats()
-        self.level = policy if policy != "adaptive" else 1.0
-        self.ladder = FidelityLadder(sorted(CONSISTENCY_LEVELS),
-                                     LEVEL_DEMAND.__getitem__, UPGRADE_MARGIN)
+        if policy == "adaptive":
+            self.core = AdaptiveClient(FidelityLadder(
+                sorted(CONSISTENCY_LEVELS), LEVEL_DEMAND.__getitem__,
+                UPGRADE_MARGIN))
 
-    def _register(self, level_hint=None):
-        if self.policy != "adaptive":
-            return
-
-        def on_level(bandwidth):
-            self.level = self.ladder.best(bandwidth)
-
-        negotiate(
-            self.api, self.path, Resource.NETWORK_BANDWIDTH,
-            window_for=lambda bw: self.ladder.window(self.level),
-            on_level=on_level,
-            level_hint=level_hint,
-            handler="files-bandwidth",
-        )
+    @property
+    def level(self):
+        """The consistency in force: the adaptive core's, or the fixed one."""
+        return self.policy if self.core is None else self.core.fidelity
 
     def run(self):
-        if self.policy == "adaptive":
-            self.api.on_upcall("files-bandwidth",
-                               lambda up: self._register(up.level))
-            self._register(level_hint=self.api.availability(self.path))
+        if self.core is not None:
+            self._join(self.api.availability(self.path))
         index = 0
         try:
             while True:

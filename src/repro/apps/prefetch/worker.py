@@ -2,10 +2,10 @@
 
 from dataclasses import dataclass, field
 
-from repro.apps.base import Application, negotiate
-from repro.apps.prefetch.maps import TILE_FIDELITIES, tile_bytes
+from repro.apps.base import Application
+from repro.apps.prefetch.maps import TILE_FIDELITIES
+from repro.core.adaptive import AdaptiveClient
 from repro.core.ladder import FidelityLadder
-from repro.core.resources import Resource
 from repro.errors import ProcessInterrupt
 
 #: The worker wants each tile on screen within this long of arriving.
@@ -69,6 +69,8 @@ class FieldWorker(Application):
         ``"adaptive"`` or a fixed fidelity level.
     """
 
+    handler = "maps-bandwidth"
+
     def __init__(self, sim, api, name, path, route, dwell_seconds=2.0,
                  policy="adaptive", measure_from=0.0):
         super().__init__(sim, api, name)
@@ -78,9 +80,14 @@ class FieldWorker(Application):
         self.policy = policy
         self.measure_from = measure_from
         self.stats = WorkerStats()
-        self.fidelity = policy if policy != "adaptive" else 1.0
-        self.ladder = FidelityLadder(sorted(TILE_FIDELITIES), self.demand,
-                                     UPGRADE_MARGIN)
+        if policy == "adaptive":
+            self.core = AdaptiveClient(FidelityLadder(
+                sorted(TILE_FIDELITIES), self.demand, UPGRADE_MARGIN))
+
+    @property
+    def fidelity(self):
+        """The map resolution: the adaptive core's, or the fixed one."""
+        return self.policy if self.core is None else self.core.fidelity
 
     # -- adaptation: resolution from bandwidth -----------------------------
 
@@ -89,30 +96,11 @@ class FieldWorker(Application):
         mean_tile = TILE_FIDELITIES[fidelity]
         return mean_tile * 1.25 / self.dwell_seconds  # headroom for headers
 
-    def _register(self, level_hint=None):
-        if self.policy != "adaptive":
-            return
-
-        def on_level(bandwidth):
-            self.fidelity = self.ladder.best(bandwidth)
-
-        negotiate(
-            self.api, self.path, Resource.NETWORK_BANDWIDTH,
-            window_for=lambda bw: self.ladder.window(self.fidelity),
-            on_level=on_level,
-            level_hint=level_hint,
-            handler="maps-bandwidth",
-        )
-
-    def _on_upcall(self, upcall):
-        self._register(level_hint=upcall.level)
-
     # -- the walk --------------------------------------------------------------
 
     def run(self):
-        if self.policy == "adaptive":
-            self.api.on_upcall("maps-bandwidth", self._on_upcall)
-            self._register(level_hint=self.api.availability(self.path))
+        if self.core is not None:
+            self._join(self.api.availability(self.path))
         try:
             for step, (x, y) in enumerate(self.route):
                 yield from self.api.tsop(

@@ -12,9 +12,9 @@ stalls — a movie is 60 seconds long no matter what.
 
 from dataclasses import dataclass, field
 
-from repro.apps.base import Application, negotiate
+from repro.apps.base import Application
+from repro.core.adaptive import AdaptiveClient
 from repro.core.ladder import FidelityLadder
-from repro.core.resources import Resource
 from repro.errors import ProcessInterrupt
 
 #: Per-frame protocol overhead (request + headers) charged when the player
@@ -64,6 +64,8 @@ class VideoPlayer(Application):
         ``"bw"``) — the paper's static strategies.
     """
 
+    handler = "video-bandwidth"
+
     def __init__(self, sim, api, name, path, movie_name, policy="adaptive",
                  measure_from=0.0):
         super().__init__(sim, api, name)
@@ -76,12 +78,13 @@ class VideoPlayer(Application):
         self.stats = PlayerStats()
         self.meta = None
         self.fidelities = {}
-        self.ladder = None  # tracks by ascending fidelity, once meta arrives
-        self.current_track = None
         self._rebuffer_pending = False
-        self._last_switch = None
-        self._dwelling = False
         self._recheck_scheduled = False
+
+    @property
+    def current_track(self):
+        """The track playing: the adaptive core's rung, or the fixed one."""
+        return self.policy if self.core is None else self.core.fidelity
 
     # -- track selection -----------------------------------------------------
 
@@ -89,74 +92,39 @@ class VideoPlayer(Application):
         self.meta = meta
         tracks = meta["tracks"]
         self.fidelities = {t: tracks[t]["fidelity"] for t in tracks}
-        self.ladder = FidelityLadder(
-            sorted(tracks, key=lambda t: tracks[t]["fidelity"]),
-            lambda t: tracks[t]["bandwidth"] + WIRE_OVERHEAD_BYTES * meta["fps"],
-            UPGRADE_MARGIN,
-        )
+        if self.policy == "adaptive":
+            ladder = FidelityLadder(
+                sorted(tracks, key=lambda t: tracks[t]["fidelity"]),
+                self.demand, UPGRADE_MARGIN)
+            self.core = AdaptiveClient(ladder, dwell=SWITCH_DWELL_SECONDS)
+            self.core.on_fidelity = self._switched
 
-    def best_track_for(self, level):
-        """Track to play at availability ``level``: the ladder's choice, kept
-        as a method so a subclass can cap it (``examples/battery_aware.py``)."""
-        return self.ladder.best(level)
+    def demand(self, track):
+        """Bandwidth (bytes/s) ``track`` needs, wire overhead included."""
+        return (self.meta["tracks"][track]["bandwidth"]
+                + WIRE_OVERHEAD_BYTES * self.meta["fps"])
 
-    def _register(self, level_hint=None):
-        if self.policy != "adaptive":
-            return
-
-        def on_level(level):
-            self._dwelling = False
-            track = self.best_track_for(level)
-            if track == self.current_track:
-                return
-            now = self.sim.now
-            if (self._last_switch is not None
-                    and now - self._last_switch < SWITCH_DWELL_SECONDS):
-                self._dwelling = True
-                self._schedule_recheck(
-                    self._last_switch + SWITCH_DWELL_SECONDS - now
-                )
-                return
-            self.stats.switches.append((now, self.current_track, track))
-            self.current_track = track
-            self._last_switch = now
+    def _switched(self, now, track):
+        log = self.core.fidelity_log
+        if len(log) > 1:  # the first choice is not a switch
+            self.stats.switches.append((now, log[-2][1], track))
             self._rebuffer_pending = True
 
-        def window_for(level):
-            lower, upper = self.ladder.window(self.current_track)
-            if self._dwelling and level is not None:
-                # Refusing to switch while the estimate sits outside the
-                # track's window: widen so the registration is accepted;
-                # the scheduled recheck revisits the decision.
-                lower = min(lower, level * 0.90)
-                upper = max(upper, level * 1.10)
-            return lower, upper
+    def _negotiate(self):
+        super()._negotiate()
+        # A switch the dwell held back is revisited when the hold ends.
+        hold_until = self.core.hold_until
+        if hold_until is not None and not self._recheck_scheduled:
+            self._recheck_scheduled = True
+            self.sim.call_in(max(hold_until - self.sim.now, 1e-3),
+                             self._recheck)
 
-        negotiate(
-            self.api, self.path, Resource.NETWORK_BANDWIDTH,
-            window_for=window_for,
-            on_level=on_level,
-            level_hint=level_hint,
-            handler="video-bandwidth",
-        )
-
-    def _schedule_recheck(self, delay):
-        if self._recheck_scheduled:
+    def _recheck(self):
+        self._recheck_scheduled = False
+        if self.process is None or not self.process.alive:
             return
-        self._recheck_scheduled = True
-
-        def recheck():
-            self._recheck_scheduled = False
-            if self.process is None or not self.process.alive:
-                return
-            for registration in self.api.viceroy.registered_requests(self.api.app):
-                self.api.cancel(registration.request_id)
-            self._register(level_hint=self.api.availability(self.path))
-
-        self.sim.call_in(max(delay, 1e-3), recheck)
-
-    def _on_upcall(self, upcall):
-        self._register(level_hint=upcall.level)
+        self.core.recheck(self.api.availability(self.path))
+        self._negotiate()
 
     # -- playback ------------------------------------------------------------------
 
@@ -164,13 +132,8 @@ class VideoPlayer(Application):
         meta = yield from self.api.tsop(self.path, "get-meta",
                                         {"movie": self.movie_name})
         self._load_meta(meta)
-        if self.policy == "adaptive":
-            self.api.on_upcall("video-bandwidth", self._on_upcall)
-            level = self.api.availability(self.path)
-            self.current_track = self.best_track_for(level)
-            self._register(level_hint=level)
-        else:
-            self.current_track = self.policy
+        if self.core is not None:
+            self._join(self.api.availability(self.path))
         fps = meta["fps"]
         n_frames = meta["frames"]
         # Fetch the first frame, then let the warden's read-ahead build a

@@ -12,12 +12,12 @@ web server, distillation, rendering).
 
 from dataclasses import dataclass, field
 
-from repro.apps.base import Application, negotiate
+from repro.apps.base import Application
 from repro.apps.web.distill import DISTILL_COMPUTE
 from repro.apps.web.images import FIDELITY_LEVELS, distilled_bytes
 from repro.apps.web.server import WEB_SERVER_COMPUTE
+from repro.core.adaptive import AdaptiveClient
 from repro.core.ladder import NO_UPPER, FidelityLadder
-from repro.core.resources import Resource
 from repro.errors import ProcessInterrupt
 
 #: The adaptation goal: fetch-and-display within twice the Ethernet time.
@@ -77,6 +77,8 @@ class CellophaneBrowser(Application):
         Pause between fetches; 0 reproduces the paper's benchmark.
     """
 
+    handler = "web-bandwidth"
+
     def __init__(self, sim, api, name, path, image_name, image_bytes,
                  policy="adaptive", goal=LATENCY_GOAL_SECONDS,
                  think_seconds=0.0, measure_from=0.0):
@@ -89,9 +91,14 @@ class CellophaneBrowser(Application):
         self.think_seconds = think_seconds
         self.measure_from = measure_from
         self.stats = BrowserStats()
-        self.level = policy if policy != "adaptive" else 1.0
-        self.ladder = FidelityLadder(sorted(FIDELITY_LEVELS), self.min_bandwidth,
-                                     UPGRADE_MARGIN)
+        if policy == "adaptive":
+            self.core = AdaptiveClient(FidelityLadder(
+                sorted(FIDELITY_LEVELS), self.min_bandwidth, UPGRADE_MARGIN))
+
+    @property
+    def level(self):
+        """The fidelity fetched at: the adaptive core's, or the fixed one."""
+        return self.policy if self.core is None else self.core.fidelity
 
     # -- adaptation ---------------------------------------------------------
 
@@ -108,30 +115,11 @@ class CellophaneBrowser(Application):
             return NO_UPPER
         return size / budget
 
-    def _register(self, level_hint=None):
-        if self.policy != "adaptive":
-            return
-
-        def on_level(bandwidth):
-            self.level = self.ladder.best(bandwidth)
-
-        negotiate(
-            self.api, self.path, Resource.NETWORK_BANDWIDTH,
-            window_for=lambda bw: self.ladder.window(self.level),
-            on_level=on_level,
-            level_hint=level_hint,
-            handler="web-bandwidth",
-        )
-
-    def _on_upcall(self, upcall):
-        self._register(level_hint=upcall.level)
-
     # -- the browsing loop -----------------------------------------------------
 
     def run(self):
-        if self.policy == "adaptive":
-            self.api.on_upcall("web-bandwidth", self._on_upcall)
-            self._register(level_hint=self.api.availability(self.path))
+        if self.core is not None:
+            self._join(self.api.availability(self.path))
         try:
             while True:
                 started = self.sim.now

@@ -3,11 +3,16 @@
 An application registers a window of tolerance around its fidelity, moves
 to the level a violation upcall reports, and re-anchors on the reported
 availability when a request is refused (paper §4.2–4.3).
-:class:`AdaptiveClient` holds that contract for a paced chunk streamer:
-a shell feeds it events and carries out the actions it returns — a
-window to cancel or register, a fetch size, a wait.  The sim's
+:class:`AdaptiveClient` holds that contract over the caller's
+:class:`~repro.core.ladder.FidelityLadder`: a shell feeds it events and
+carries out the actions it returns — a window to cancel or register and,
+for a paced chunk streamer, a fetch size and a wait.  *When* an owed
+registration is carried out is where the shell calls
+:meth:`~AdaptiveClient.negotiation`: the paper's sim applications do it
+inline from their upcall handler, the sim
 :class:`~repro.fleet.client.FleetClient` and the live
-:class:`~repro.live.warden.LiveWarden` are its two shells.
+:class:`~repro.live.warden.LiveWarden` at their next chunk boundary.
+:meth:`repro.apps.base.Application._negotiate` is the one sim loop.
 """
 
 from repro.core.ladder import FidelityLadder
@@ -20,26 +25,46 @@ from repro.errors import NegotiationError
 DOWNGRADE_GUARD = 0.8
 UPGRADE_MARGIN = 1.3
 
+#: How far a held window reaches around its anchor level (see ``dwell``).
+HOLD_BELOW = 0.90
+HOLD_ABOVE = 1.10
+
 #: The registration actions :meth:`AdaptiveClient.negotiation` returns.
 CANCEL = "cancel"
 REGISTER = "register"
 
 
-class AdaptiveClient:
-    """One paced adaptive stream: fidelity, its window, pacing and QoE.
+def stream_ladder(rungs, chunk_bytes, period):
+    """The paced streamer's ladder: fidelity ``f`` (``rungs`` ascending)
+    demands ``f * chunk_bytes / period`` bytes/s, with the
+    :data:`DOWNGRADE_GUARD` / :data:`UPGRADE_MARGIN` hysteresis."""
+    return FidelityLadder(rungs, lambda f: f * chunk_bytes / period,
+                          UPGRADE_MARGIN, DOWNGRADE_GUARD)
 
-    ``rungs`` are fidelities, ascending.  At fidelity ``f`` a chunk is
+
+class AdaptiveClient:
+    """One adaptive application: fidelity, its window, and for a paced
+    stream its pacing and QoE.
+
+    Fidelity is a rung of ``ladder``.  A paced stream fetches
     ``f * chunk_bytes`` (never under ``min_fetch``) every ``period``
-    seconds.  Events that can move fidelity take the shell's ``now`` for
-    :attr:`fidelity_log`.
+    seconds; a shell that does not pace leaves them 0.  Within ``dwell``
+    seconds of the last rung change (the first choice does not count)
+    fidelity holds: the window asked for widens to contain the anchor
+    level, and :attr:`hold_until` says when the shell should
+    :meth:`recheck`.  Events that can move fidelity take the shell's
+    ``now`` for :attr:`fidelity_log`.
     """
 
-    def __init__(self, rungs, chunk_bytes, period, min_fetch=1):
+    def __init__(self, ladder, chunk_bytes=0, period=0.0, min_fetch=1,
+                 dwell=0.0):
+        self.ladder = ladder
         self.chunk_bytes = chunk_bytes
         self.period = period
         self.min_fetch = max(1, min_fetch)
-        self.ladder = FidelityLadder(rungs, self.demand,
-                                     UPGRADE_MARGIN, DOWNGRADE_GUARD)
+        self.dwell = dwell
+        #: When the latest hold ends, until the next :meth:`recheck`.
+        self.hold_until = None
         self.fidelity = None
         self.fidelity_log = []  # (time, fidelity) at each change
         #: Called ``(now, fidelity)`` after each change, if set.
@@ -50,7 +75,7 @@ class AdaptiveClient:
         self._joining = False  # the owed registration is not a renegotiation
         self._retrying = False  # the last reply was a refusal
         self._superseded = False  # an upcall or reconnect since the last ask
-        self._tried = set()  # rungs this negotiation has asked for
+        self._tried = set()  # windows this negotiation has asked for
         self.upcalls_received = 0
         self.renegotiations = 0
         self.rejections = 0
@@ -63,16 +88,24 @@ class AdaptiveClient:
         self.latency_sum = 0.0
         self.latency_max = 0.0
 
-    def demand(self, fidelity):
-        """Bandwidth (bytes/s) the stream consumes at ``fidelity``."""
-        return fidelity * self.chunk_bytes / self.period
-
     def _set_fidelity(self, fidelity, now):
         if fidelity != self.fidelity:
             self.fidelity = fidelity
             self.fidelity_log.append((now, fidelity))
             if self.on_fidelity is not None:
                 self.on_fidelity(now, fidelity)
+
+    def _follow(self, level, now):
+        """Move to the rung ``level`` sustains; ``True`` if the dwell holds
+        the current rung instead."""
+        rung = self.ladder.best(level)
+        log = self.fidelity_log
+        if (rung != self.fidelity and len(log) > 1
+                and now - log[-1][0] < self.dwell):
+            self.hold_until = log[-1][0] + self.dwell
+            return True
+        self._set_fidelity(rung, now)
+        return False
 
     # -- events ---------------------------------------------------------------
 
@@ -84,16 +117,24 @@ class AdaptiveClient:
 
     def upcall(self, request_id, level, now):
         """Window ``request_id`` was violated at ``level`` (``None``: torn
-        down).  Fidelity follows the level now; the re-registration waits
-        for the next chunk boundary, so a wobbling estimate cannot drive
-        one negotiation round trip per violation."""
+        down).  Fidelity follows the level now; the re-registration is
+        owed until the shell's next :meth:`negotiation` (a streamer waits
+        for its chunk boundary, so a wobbling estimate cannot drive one
+        negotiation round trip per violation)."""
         self.upcalls_received += 1
         if request_id == self.request_id:
             self.request_id = None  # one-shot: the window is already gone
         self.level = level
         self.window_due = self._superseded = True
         if level is not None:
-            self._set_fidelity(self.ladder.best(level), now)
+            self._follow(level, now)
+
+    def recheck(self, level):
+        """Cancel the window held and negotiate afresh around ``level``:
+        what a shell does when a hold ends."""
+        self.hold_until = None
+        self.level = level
+        self.window_due = self._superseded = True
 
     def reconnected(self):
         """The link is back: the window held from before the outage may be
@@ -142,11 +183,13 @@ class AdaptiveClient:
         (answer :meth:`accepted` or :meth:`rejected`).
 
         Fidelity moves to the rung the anchor level sustains *before* each
-        ask, as ``apps.base.negotiate`` does.  After a refusal the next ask
-        re-anchors on the reported availability; asking again for a rung
-        this negotiation already tried raises :class:`NegotiationError`, so
-        the finite ladder bounds the retries.  A lost reply leaves the
-        registration owed: the next call starts a new negotiation.
+        ask, or holds within the dwell, its window widened to
+        :data:`HOLD_BELOW` / :data:`HOLD_ABOVE` times the anchor.  After a
+        refusal the next ask re-anchors on the reported availability;
+        asking again for a window this negotiation already tried raises
+        :class:`NegotiationError`, so the finite ladder bounds the retries.
+        A lost reply leaves the registration owed: the next call starts a
+        new negotiation.
         """
         if not self.window_due:
             return None
@@ -159,14 +202,19 @@ class AdaptiveClient:
             else:
                 self.renegotiations += 1
         self._retrying = self._superseded = False
-        rung = self.ladder.best(self.level)
-        self._set_fidelity(rung, now)
-        if rung in self._tried:
+        level = self.level
+        held = self._follow(level, now)
+        window = self.ladder.window(self.fidelity)
+        if held and level is not None:
+            lower, upper = window
+            window = (min(lower, level * HOLD_BELOW),
+                      max(upper, level * HOLD_ABOVE))
+        if window in self._tried:
             raise NegotiationError(
                 f"no rung of {self.ladder.rungs} registers at "
-                f"available={self.level}")
-        self._tried.add(rung)
-        return REGISTER, self.ladder.window(rung)
+                f"available={level}")
+        self._tried.add(window)
+        return REGISTER, window
 
     def fetch_size(self):
         """Bytes to fetch for the next chunk at the current fidelity."""

@@ -10,11 +10,11 @@ waveforms."
 from dataclasses import dataclass, field
 
 from repro import telemetry
-from repro.apps.base import negotiate
 from repro.apps.bitstream import build_bitstream
 from repro.core.api import OdysseyAPI
 from repro.core.ladder import NO_UPPER
 from repro.core.resources import Resource
+from repro.errors import ToleranceError
 from repro.estimation.agility import detection_delay, settling_time
 from repro.experiments.harness import DEFAULT_TRIALS, ExperimentWorld
 from repro.experiments.stats import Cell
@@ -91,33 +91,36 @@ def _register_tracker(world, path, factor=TRACK_WINDOW_FACTOR):
 
     Registers a bandwidth window around the current estimate and, on each
     violation upcall, re-registers around the level the upcall delivered —
-    the paper's negotiate-again protocol, run purely for observation.  The
+    the paper's try-again protocol, run purely for observation.  The
     registration itself is a read-only check, so the estimate series the
     trial measures is unchanged; the upcalls it provokes are what give the
-    fig8 event trace its application-visible notifications.
+    fig8 event trace its application-visible notifications.  A refusal
+    re-anchors once on the level it reports: a window centred on the
+    current level cannot be refused.
     """
     api = OdysseyAPI(world.viceroy, "fig8-tracker")
 
-    def window_for(level):
+    def request(level):
         if level is None or level <= 0:
-            return (0.0, NO_UPPER)
-        return (level / factor, level * factor)
+            window = (0.0, NO_UPPER)
+        else:
+            window = (level / factor, level * factor)
+        return api.request(path, Resource.NETWORK_BANDWIDTH, *window,
+                           handler="bandwidth")
+
+    def register(level):
+        try:
+            return request(level)
+        except ToleranceError as err:
+            return request(err.available)
 
     def handler(upcall):
         if upcall.level is None:
             return None  # connection torn down; nothing to track any more
-        return negotiate(api, path, Resource.NETWORK_BANDWIDTH, window_for,
-                         lambda level: None, level_hint=upcall.level,
-                         handler="bandwidth")
+        return register(upcall.level)
 
     api.on_upcall("bandwidth", handler)
-    world.sim.call_at(
-        world.prime,
-        lambda: negotiate(api, path, Resource.NETWORK_BANDWIDTH, window_for,
-                          lambda level: None,
-                          level_hint=api.availability(path),
-                          handler="bandwidth"),
-    )
+    world.sim.call_at(world.prime, lambda: register(api.availability(path)))
     return api
 
 

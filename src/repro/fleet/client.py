@@ -5,7 +5,9 @@ through its own :class:`~repro.apps.bitstream.StreamWarden` connection on a
 fixed pacing period, scaling the chunk size by a fidelity ladder.  What to
 register, fetch and wait for is decided by its
 :class:`~repro.core.adaptive.AdaptiveClient`; this class is the sim
-shell that carries those actions out through the Odyssey API.
+shell that carries those actions out through the Odyssey API, running the
+core's owed registrations at each chunk boundary (the paper's own
+applications run them inline from their upcall handler).
 
 Unlike the single-application experiments, nothing here is measured at
 fine grain — a client reduces itself to a handful of QoE numbers (bytes,
@@ -14,15 +16,8 @@ thousands of them stay cheap to aggregate across shards.
 """
 
 from repro.apps.base import Application
-from repro.core.adaptive import CANCEL, AdaptiveClient
-from repro.core.resources import Resource
-from repro.errors import (
-    OdysseyError,
-    ProcessInterrupt,
-    RequestNotFound,
-    RpcError,
-    ToleranceError,
-)
+from repro.core.adaptive import AdaptiveClient, stream_ladder
+from repro.errors import OdysseyError, ProcessInterrupt, RpcError
 
 #: Full-fidelity chunk size, bytes.  Large enough that a chunk's transfer
 #: time is bandwidth-dominated rather than latency-dominated — tiny fetches
@@ -40,12 +35,16 @@ FIDELITY_LEVELS = (0.125, 0.25, 0.5, 1.0)
 class FleetClient(Application):
     """One paced adaptive stream: a sim process driving an adaptive core."""
 
+    handler = "fleet-bw"
+
     def __init__(self, sim, api, name, path, chunk_bytes=DEFAULT_CHUNK_BYTES,
                  period=DEFAULT_PERIOD, levels=FIDELITY_LEVELS,
                  measure_from=0.0, mark_every=0):
         super().__init__(sim, api, name)
         self.path = path
-        self.core = AdaptiveClient(sorted(levels), chunk_bytes, period)
+        self.core = AdaptiveClient(
+            stream_ladder(sorted(levels), chunk_bytes, period),
+            chunk_bytes, period)
         self.measure_from = measure_from
         #: Issue a ``save-mark`` write every N chunk cycles (0 = never).
         #: Chaos fleets turn this on so disconnected periods exercise the
@@ -56,32 +55,13 @@ class FleetClient(Application):
         self._cycles = 0
 
     def _on_upcall(self, upcall):
+        # Fidelity follows now; the re-registration waits for the chunk
+        # boundary.
         self.core.upcall(upcall.request_id, upcall.level, self.sim.now)
-
-    def _negotiate(self):
-        """Carry out the core's registration steps (``request`` answers at
-        once in the sim, so a whole negotiation takes no simulated time)."""
-        core = self.core
-        while (step := core.negotiation(self.sim.now)) is not None:
-            action, arg = step
-            if action == CANCEL:
-                try:
-                    self.api.cancel(arg)
-                except RequestNotFound:
-                    pass  # already gone: a departure cancelled it
-                core.cancelled()
-                continue
-            try:
-                core.accepted(self.api.request(
-                    self.path, Resource.NETWORK_BANDWIDTH, *arg,
-                    handler="fleet-bw"))
-            except ToleranceError as err:
-                core.rejected(err.available)
 
     def run(self):
         core = self.core
-        self.api.on_upcall("fleet-bw", self._on_upcall)
-        core.join(self.api.availability(self.path))
+        self._join(self.api.availability(self.path))
         core.next_due = self.sim.now
         try:
             while True:

@@ -48,7 +48,8 @@ seconds rather than left to queue timing.)  The broker keeps
 and absorbs ``next_offset - acked`` bytes as a delivery sample only when
 ``acked < next_offset <= sent``; any other receipt cannot be matched to
 bytes it streamed and tears the session down, like a window against an
-unopened transfer or one asking for fragments under a byte.  The
+unopened transfer or one asking for fragments under a byte or for more
+than :data:`MAX_FRAGMENTS_PER_WINDOW` of them.  The
 throughput report stays a call: it returns the level, and TCP ordering
 makes its reply the proof that every earlier receipt was absorbed.
 
@@ -77,6 +78,10 @@ OPEN_OP = "__open__"
 #: the broker fragments it on the way back.
 DEFAULT_WINDOW_BYTES = 64 * 1024
 DEFAULT_FRAGMENT_BYTES = 8 * 1024
+#: The most fragments one window may be cut into.  The defaults cut 8 (the
+#: live warden's chunks, 2); one window of one-byte fragments would be a
+#: train of a frame per byte that holds the broker's loop for seconds.
+MAX_FRAGMENTS_PER_WINDOW = 64
 
 #: Receiver-side patience for the next fragment, seconds.  Spans a
 #: blackout phase of the demo throttle with room to spare.
@@ -149,8 +154,9 @@ class BulkServerMixin:
 
     def _on_stream(self, session, message):
         # A window against nothing we opened or cut into fragments under
-        # a byte, or a receipt for bytes we did not stream, is a protocol
-        # violation, same as any other unexpected frame.
+        # a byte or into too many, or a receipt for bytes we did not
+        # stream, is a protocol violation, same as any other unexpected
+        # frame.
         if isinstance(message, WindowRequest):
             if self._open_window(session, message):
                 return
@@ -171,6 +177,8 @@ class BulkServerMixin:
         # violation: the reply is one empty terminal fragment.
         offset = min(max(0, request.offset), total)
         end = min(total, offset + max(0, request.window_bytes))
+        if end - offset > MAX_FRAGMENTS_PER_WINDOW * request.fragment_bytes:
+            return False
         # One window in flight per (session, transfer): this one replaces
         # whatever was there, and a train still streaming for the old one
         # (a fetch retried after a timeout) stops at its next fragment.
@@ -397,6 +405,10 @@ class BulkReceiver:
         if window_bytes < 1 or fragment_bytes < 1:
             raise BrokerError("window_bytes and fragment_bytes must be >= 1, "
                               f"got {window_bytes!r} and {fragment_bytes!r}")
+        if min(window_bytes, nbytes) > MAX_FRAGMENTS_PER_WINDOW * fragment_bytes:
+            raise BrokerError(
+                f"a {window_bytes}-byte window would cut into more than "
+                f"{MAX_FRAGMENTS_PER_WINDOW} {fragment_bytes}-byte fragments")
         if transfer_id in self._queues:
             raise BrokerError(f"transfer {transfer_id} already being fetched")
         inbox = self._queues[transfer_id] = _Inbox()

@@ -2,8 +2,8 @@
 
 The adaptation contract — ladder, windows, upcall and rejection rules,
 pacing, QoE counters — is the :class:`~repro.core.adaptive.AdaptiveClient`
-the sim fleet client also drives; :class:`LiveWarden` is its asyncio
-shell.  It runs the core's cancel / ``__request__`` steps against the
+the sim fleet client and the paper's sim applications also drive;
+:class:`LiveWarden` is its asyncio shell.  It runs the core's cancel / ``__request__`` steps against the
 live broker (a structured rejection carries the available level), fetches
 paced chunks through :class:`~repro.live.bulk.BulkReceiver`, whose
 receipts and ``__report__`` samples feed the broker's estimate, and hands
@@ -22,7 +22,7 @@ from repro.broker.client import BrokerClient
 from repro.broker.server import REPORT_OP, REQUEST_OP
 from repro.connectivity import AsyncHeartbeatProber
 from repro.connectivity.state import ConnState
-from repro.core.adaptive import CANCEL, AdaptiveClient
+from repro.core.adaptive import CANCEL, AdaptiveClient, stream_ladder
 from repro.core.warden import WardenCache
 from repro.errors import (
     BrokerError,
@@ -113,8 +113,9 @@ class LiveWarden:
         self.window_bytes = window_bytes
         self.fragment_bytes = fragment_bytes
         self.probe_interval = probe_interval
-        self.core = AdaptiveClient(self.profile.levels, chunk_bytes, period,
-                                   min_fetch=min(MIN_PROBE_BYTES, chunk_bytes))
+        self.core = AdaptiveClient(
+            stream_ladder(self.profile.levels, chunk_bytes, period),
+            chunk_bytes, period, min_fetch=min(MIN_PROBE_BYTES, chunk_bytes))
         self.core.on_fidelity = self._fidelity_changed
         self.client = BrokerClient(host, port, name, clock=clock)
         self.clock = self.client.clock

@@ -1,13 +1,14 @@
-"""The Application base class and the negotiate() retry helper."""
+"""The Application base class and its sim negotiation loop."""
 
 import pytest
 
-from repro.apps.base import Application, negotiate
+from repro.apps.base import Application
 from repro.apps.bitstream import build_bitstream
+from repro.core.adaptive import AdaptiveClient
 from repro.core.api import OdysseyAPI
-from repro.core.resources import Resource
+from repro.core.ladder import FidelityLadder
 from repro.core.viceroy import Viceroy
-from repro.errors import ProcessInterrupt, ToleranceError
+from repro.errors import ProcessInterrupt
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
 from repro.trace.waveforms import HIGH_BANDWIDTH, constant
@@ -64,61 +65,27 @@ def build_estimating_world():
     return sim, viceroy
 
 
-def test_negotiate_registers_first_try_when_window_fits():
+class LadderApp(Application):
+    """An adaptive application with an absurd top rung: its optimistic
+    first ask is refused, and the retry lands on the rung that fits."""
+
+    handler = "ladder-bw"
+
+    def __init__(self, sim, api):
+        super().__init__(sim, api, "ladder")
+        self.path = "/odyssey/bitstream/0"
+        self.core = AdaptiveClient(FidelityLadder(
+            ("low", "absurd"), {"low": 0.0, "absurd": 1e11}.__getitem__,
+            upper_margin=1.0))
+
+
+def test_application_negotiates_through_the_core():
     sim, viceroy = build_estimating_world()
-    api = OdysseyAPI(viceroy, "bitstream-app-0")
-    seen = []
-
-    request_id = negotiate(
-        api, "/odyssey/bitstream/0", Resource.NETWORK_BANDWIDTH,
-        window_for=lambda level: (0.0, 1e12),
-        on_level=seen.append,
-    )
-    assert request_id > 0
-    assert seen == [None]  # no hint, one attempt
-    api.cancel(request_id)
-
-
-def test_negotiate_retries_with_reported_level():
-    sim, viceroy = build_estimating_world()
-    api = OdysseyAPI(viceroy, "bitstream-app-0")
-    seen = []
-
-    def window_for(level):
-        if level is None:
-            return (1e9, 1e12)  # absurdly optimistic: will be rejected
-        return (level * 0.5, level * 2.0)  # second attempt fits
-
-    request_id = negotiate(
-        api, "/odyssey/bitstream/0", Resource.NETWORK_BANDWIDTH,
-        window_for=window_for, on_level=seen.append,
-    )
-    assert request_id > 0
-    assert seen[0] is None
-    assert seen[1] > 0  # the ToleranceError's reported availability
-    assert len(seen) == 2
-
-
-def test_negotiate_surfaces_nonconverging_mapping():
-    sim, viceroy = build_estimating_world()
-    api = OdysseyAPI(viceroy, "bitstream-app-0")
-
-    with pytest.raises(ToleranceError):
-        negotiate(
-            api, "/odyssey/bitstream/0", Resource.NETWORK_BANDWIDTH,
-            window_for=lambda level: (1e9, 1e12),  # never contains the level
-            on_level=lambda level: None,
-        )
-
-
-def test_negotiate_uses_level_hint():
-    sim, viceroy = build_estimating_world()
-    api = OdysseyAPI(viceroy, "bitstream-app-0")
-    seen = []
-    negotiate(
-        api, "/odyssey/bitstream/0", Resource.NETWORK_BANDWIDTH,
-        window_for=lambda level: (0.0, 1e12),
-        on_level=seen.append,
-        level_hint=12345.0,
-    )
-    assert seen == [12345.0]
+    app = LadderApp(sim, OdysseyAPI(viceroy, "bitstream-app-0"))
+    app._join(None)
+    core = app.core
+    assert core.fidelity_log == [(10.0, "absurd"), (10.0, "low")]
+    assert core.rejections == 1 and not core.window_due
+    (registration,) = viceroy.registered_requests("bitstream-app-0")
+    assert registration.request_id == core.request_id
+    assert registration.descriptor.handler == "ladder-bw"

@@ -16,25 +16,39 @@ from hypothesis.stateful import (
 from repro.core.adaptive import (
     CANCEL,
     DOWNGRADE_GUARD,
+    HOLD_ABOVE,
+    HOLD_BELOW,
     REGISTER,
     UPGRADE_MARGIN,
     AdaptiveClient,
+    stream_ladder,
 )
 from repro.errors import NegotiationError
 from repro.fleet import FIDELITY_LEVELS
 
 
+def demand(fidelity):
+    """The fleet client's demand: 32 KB chunks every 4 s."""
+    return fidelity * 32 * 1024 / 4.0
+
+
+def fleet_core(dwell=0.0):
+    return AdaptiveClient(stream_ladder(FIDELITY_LEVELS, 32 * 1024, 4.0),
+                          chunk_bytes=32 * 1024, period=4.0, dwell=dwell)
+
+
 @pytest.fixture
 def client():
     """The fleet client's shape: 32 KB chunks every 4 s."""
-    return AdaptiveClient(FIDELITY_LEVELS, chunk_bytes=32 * 1024, period=4.0)
+    return fleet_core()
 
 
 # -- the ladder ----------------------------------------------------------------
 
 
 def test_ladder_picks_highest_sustainable_level(client):
-    full = client.demand(1.0)
+    full = demand(1.0)
+    assert client.ladder.demands == tuple(map(demand, FIDELITY_LEVELS))
     assert client.ladder.best(None) == 1.0  # optimistic before data
     assert client.ladder.best(full * 2) == 1.0
     assert client.ladder.best(full * 0.6) == 0.5
@@ -48,10 +62,10 @@ def test_lowest_window_is_open_at_the_bottom(client):
 
 def test_windows_carry_hysteresis(client):
     lower, upper = client.ladder.window(0.5)
-    assert lower == client.demand(0.5) * DOWNGRADE_GUARD == \
-        client.demand(0.5) * 0.8  # guard below own demand
-    assert upper == client.demand(1.0) * UPGRADE_MARGIN == \
-        client.demand(1.0) * 1.3  # guard above the next level
+    assert lower == demand(0.5) * DOWNGRADE_GUARD == \
+        demand(0.5) * 0.8  # guard below own demand
+    assert upper == demand(1.0) * UPGRADE_MARGIN == \
+        demand(1.0) * 1.3  # guard above the next level
 
 
 def test_mean_fidelity_is_time_weighted(client):
@@ -71,7 +85,7 @@ def test_fidelity_moves_before_each_ask(client):
     client.join(None)
     assert client.negotiation(0.0) == (REGISTER, client.ladder.window(1.0))
     assert client.fidelity == 1.0
-    client.rejected(client.demand(0.5))
+    client.rejected(demand(0.5))
     assert client.negotiation(1.0) == (REGISTER, client.ladder.window(0.5))
     assert client.fidelity_log == [(0.0, 1.0), (1.0, 0.5)]  # before the reply
     client.accepted(7)
@@ -148,13 +162,108 @@ def test_a_late_upcall_for_a_cancelled_window_spares_the_new_one(client):
 
 
 def test_teardown_upcall_keeps_fidelity_and_reanchors_optimistically(client):
-    client.join(client.demand(0.25))
+    client.join(demand(0.25))
     client.negotiation(0.0)
     client.accepted(1)
     client.upcall(1, None, 3.0)
     assert client.fidelity == 0.25
     client.negotiation(4.0)
     assert client.fidelity == 1.0
+
+
+# -- the try-again protocol (paper §4.2) -----------------------------------------
+
+
+def test_the_first_try_registers_when_the_window_fits(client):
+    client.join(demand(1.0) * 2)
+    assert client.negotiation(0.0) == (REGISTER, client.ladder.window(1.0))
+    client.accepted(1)
+    assert client.negotiation(0.0) is None
+    assert client.fidelity_log == [(0.0, 1.0)] and client.rejections == 0
+
+
+def test_a_refusal_retries_at_the_reported_level(client):
+    client.join(None)  # no estimate yet: optimistic
+    assert client.negotiation(0.0) == (REGISTER, client.ladder.window(1.0))
+    client.rejected(demand(0.25) * 1.1)
+    step = client.negotiation(0.0)
+    assert step == (REGISTER, client.ladder.window(0.25))
+    lower, upper = step[1]
+    assert lower <= demand(0.25) * 1.1 <= upper  # the retry fits the report
+    assert client.fidelity == 0.25
+
+
+def test_a_non_converging_negotiation_is_surfaced(client):
+    client.join(None)
+    client.negotiation(0.0)
+    client.rejected(demand(0.5))
+    client.negotiation(0.0)  # the window around 0.5 ...
+    client.rejected(demand(0.5))  # ... refused at the level it contains
+    with pytest.raises(NegotiationError, match="available="):
+        client.negotiation(0.0)
+
+
+def test_the_first_ask_anchors_on_the_level_hint(client):
+    client.join(demand(0.5) * 1.1)
+    assert client.negotiation(0.0) == (REGISTER, client.ladder.window(0.5))
+    client.accepted(1)
+    client.upcall(1, demand(0.125), 1.0)  # so does an upcall's level
+    assert client.negotiation(1.0) == (REGISTER, client.ladder.window(0.125))
+
+
+# -- the switch dwell -----------------------------------------------------------
+
+
+def test_the_dwell_holds_the_rung_and_widens_around_the_anchor():
+    core = fleet_core(dwell=3.0)
+    core.join(None)
+    core.negotiation(0.0)  # the first choice: 1.0
+    core.accepted(1)
+    core.upcall(1, demand(0.25), 1.0)  # the first change is not held
+    assert core.fidelity == 0.25 and core.hold_until is None
+    core.negotiation(1.0)
+    core.accepted(2)
+    level = demand(1.0) * 2
+    core.upcall(2, level, 2.0)  # one second after the change: held
+    assert core.fidelity == 0.25 and core.hold_until == 4.0
+    lower, upper = core.ladder.window(0.25)
+    assert core.negotiation(2.0) == (
+        REGISTER, (lower, max(upper, level * HOLD_ABOVE)))
+    assert lower <= level * HOLD_BELOW
+    core.accepted(3)
+    core.recheck(level)  # the hold is over
+    assert core.negotiation(4.0) == (CANCEL, 3)
+    core.cancelled()
+    assert core.negotiation(4.0) == (REGISTER, core.ladder.window(1.0))
+    assert core.hold_until is None
+    assert core.fidelity_log == [(0.0, 1.0), (1.0, 0.25), (4.0, 1.0)]
+
+
+def test_a_reanchor_during_a_hold_retries_on_the_same_rung():
+    core = fleet_core(dwell=3.0)
+    core.join(None)
+    core.negotiation(0.0)
+    core.accepted(1)
+    core.upcall(1, 0.0, 1.0)
+    core.negotiation(1.0)
+    core.accepted(2)
+    core.upcall(2, demand(1.0) * 2, 1.5)
+    first = core.negotiation(1.5)[1]  # held at the bottom rung
+    core.rejected(demand(1.0) * 4)  # the estimate moved on meanwhile
+    second = core.negotiation(1.5)[1]  # same rung, a window around the report
+    assert core.fidelity == FIDELITY_LEVELS[0] and first != second
+    assert second[0] <= demand(1.0) * 4 <= second[1]
+
+
+def test_without_a_dwell_nothing_holds(client):
+    client.join(None)
+    client.negotiation(0.0)
+    client.accepted(1)
+    client.upcall(1, 0.0, 0.5)
+    client.negotiation(0.5)
+    client.accepted(2)
+    client.upcall(2, demand(1.0) * 2, 0.5)  # at the instant of the change
+    assert client.fidelity == 1.0 and client.hold_until is None
 
 
 # -- pacing and accounting -----------------------------------------------------
@@ -169,15 +278,15 @@ def test_pacing_keeps_cadence_and_restarts_when_late(client):
 
 
 def test_fetch_size_follows_fidelity_with_a_floor():
-    core = AdaptiveClient((0.01, 0.5, 1.0), chunk_bytes=16 * 1024,
-                          period=0.25, min_fetch=4096)
+    core = AdaptiveClient(stream_ladder((0.01, 0.5, 1.0), 16 * 1024, 0.25),
+                          chunk_bytes=16 * 1024, period=0.25, min_fetch=4096)
     core.join(0.0)
     core.negotiation(0.0)
     assert core.fetch_size() == 4096  # 1% of a chunk is no bandwidth probe
     core.rejected(1e9)
     core.negotiation(0.0)
     assert core.fetch_size() == 16 * 1024
-    assert AdaptiveClient((0.5,), 1, 1.0).min_fetch == 1
+    assert AdaptiveClient(stream_ladder((0.5,), 1, 1.0), 1, 1.0).min_fetch == 1
 
 
 def test_chunk_accounting(client):
@@ -204,14 +313,18 @@ class AdaptiveContract(RuleBasedStateMachine):
 
     The broker holds windows and answers asks; asks, replies and upcalls
     travel separately, so any of them can cross any other.  The shell
-    does what both real shells do: at a chunk boundary it carries out
+    does what the streaming shells do: at a chunk boundary it carries out
     the core's steps until one needs a reply, and after each reply it
-    carries on.
+    carries on.  With ``INLINE`` it also carries them out as each upcall
+    arrives, as the paper's sim applications do.
     """
+
+    DWELL = 0.0
+    INLINE = False
 
     def __init__(self):
         super().__init__()
-        self.core = AdaptiveClient(FIDELITY_LEVELS, 32 * 1024, 4.0)
+        self.core = fleet_core(self.DWELL)
         self.held = set()  # windows the broker holds for the client
         self.next_id = 1
         self.asking = None  # the window asked for, not yet served
@@ -230,7 +343,7 @@ class AdaptiveContract(RuleBasedStateMachine):
     def quiet(self):
         return self.idle and not self.upcalls
 
-    def negotiate(self):
+    def carry_out(self):
         core = self.core
         while True:
             self.now += 0.25
@@ -250,6 +363,8 @@ class AdaptiveContract(RuleBasedStateMachine):
             # At most one registration outstanding, and never beside a
             # window the client still holds.
             assert not self.held and self.idle, (self.held, self.asking)
+            # Every window asked for, held or not, contains its anchor.
+            assert anchor is None or arg[0] <= anchor <= arg[1], (anchor, arg)
             self.last = anchor
             self.asking = arg
             return
@@ -261,7 +376,7 @@ class AdaptiveContract(RuleBasedStateMachine):
     @precondition(lambda self: self.idle)
     @rule()
     def boundary(self):
-        self.negotiate()
+        self.carry_out()
 
     @precondition(lambda self: self.asking is not None)
     @rule(level=LEVEL)
@@ -288,7 +403,7 @@ class AdaptiveContract(RuleBasedStateMachine):
             self.core.accepted(value)
         else:
             self.core.rejected(value)
-        self.negotiate()
+        self.carry_out()
 
     @precondition(lambda self: self.held)
     @rule(level=LEVEL)
@@ -305,6 +420,19 @@ class AdaptiveContract(RuleBasedStateMachine):
         self.core.upcall(request_id, level, self.now)
         if level is not None:
             self.last = level
+        if self.INLINE and self.idle:
+            self.carry_out()
+
+    @precondition(lambda self: self.idle
+                  and self.core.hold_until is not None)
+    @rule(level=LEVEL)
+    def hold_ends(self, level):
+        """The shell's recheck: cancel the held window, register afresh."""
+        self.now = max(self.now, self.core.hold_until)
+        self.core.recheck(level)
+        self.carry_out()
+        if self.asking is not None:
+            assert self.core.fidelity == self.core.ladder.best(level)
 
     @rule()
     def reconnect(self):
@@ -326,10 +454,17 @@ class AdaptiveContract(RuleBasedStateMachine):
 
     @invariant()
     def fidelity_follows_the_last_level(self):
+        core = self.core
         if self.last is UNANCHORED:
-            assert self.core.fidelity is None
-        else:
-            assert self.core.fidelity == self.core.ladder.best(self.last)
+            assert core.fidelity is None
+        elif core.hold_until is None:
+            assert core.fidelity == core.ladder.best(self.last)
+
+    @invariant()
+    def no_rung_changes_within_the_dwell(self):
+        changes = [at for at, _ in self.core.fidelity_log[1:]]
+        for before, after in zip(changes, changes[1:]):
+            assert after - before >= self.DWELL
 
     @invariant()
     def no_window_is_held_twice(self):
@@ -351,6 +486,16 @@ class AdaptiveContract(RuleBasedStateMachine):
                 core.stalls] == self.counts
 
 
+class DwellContract(AdaptiveContract):
+    """The video player's shape: inline re-registration and a dwell."""
+
+    DWELL = 3.0
+    INLINE = True
+
+
 TestAdaptiveContract = AdaptiveContract.TestCase
-TestAdaptiveContract.settings = settings(
-    max_examples=300, stateful_step_count=40, deadline=None)
+TestDwellContract = DwellContract.TestCase
+# 300 interleavings in tier-1; the nightly profile's count when larger.
+TestAdaptiveContract.settings = TestDwellContract.settings = settings(
+    max_examples=max(300, settings.default.max_examples),
+    stateful_step_count=40, deadline=None)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.adaptive import AdaptiveClient
+from repro.core.adaptive import stream_ladder
 from repro.core.ladder import NO_UPPER, FidelityLadder
 from repro.live.warden import video_profile
 
@@ -91,8 +91,7 @@ def test_rungs_must_be_distinct_and_present():
 
 
 def video_ladder():
-    return AdaptiveClient(video_profile().levels, chunk_bytes=16 * 1024,
-                          period=0.25).ladder
+    return stream_ladder(video_profile().levels, 16 * 1024, 0.25)
 
 
 def test_live_ladder_walks_the_video_rungs():

@@ -7,6 +7,7 @@ import pytest
 from repro.broker import BrokerClient
 from repro.errors import BrokerError, RemoteCallError, RpcTimeout
 from repro.live import BulkReceiver, LiveBroker, Throttle
+from repro.live.bulk import MAX_FRAGMENTS_PER_WINDOW
 from repro.rpc.clock import MonotonicClock
 from repro.rpc.messages import Fragment, WindowAck, WindowRequest
 from repro.transport.tcp import connect_tcp
@@ -570,16 +571,17 @@ def test_retried_fetch_supersedes_the_train_still_in_flight():
 def test_non_integer_window_fields_are_a_violation_not_a_crash():
     """So is a fragment size below one byte: unchecked, it would cut a
     window into one-byte fragments (a million for 1 MiB) in one train
-    and hold the broker's loop."""
+    and hold the broker's loop.  So is a legal size that cuts a window
+    into more than ``MAX_FRAGMENTS_PER_WINDOW`` fragments."""
 
-    async def scenario(offset, fragment_bytes):
+    async def scenario(offset, window_bytes, fragment_bytes):
         broker = await start_live_broker()
         client, receiver = await connect_receiver(broker, "alpha")
         try:
             transfer_id = await receiver.open("blob", 1 << 20)
             client.channel.send(WindowRequest(
                 connection_id="alpha", seq=1, transfer_id=transfer_id,
-                offset=offset, window_bytes=1 << 20,
+                offset=offset, window_bytes=window_bytes,
                 fragment_bytes=fragment_bytes, reply_port=""))
             closed = await wait_until(lambda: client.channel.closed)
             return closed, broker.describe_bulk()["fragments_streamed"]
@@ -587,9 +589,9 @@ def test_non_integer_window_fields_are_a_violation_not_a_crash():
             await client.close(polite=False)
             await broker.close()
 
-    for offset, fragment_bytes in (("0", 256), (0, 0), (0, -7)):
-        assert run(scenario(offset, fragment_bytes)) == (True, 0), \
-            (offset, fragment_bytes)
+    for case in (("0", 1 << 20, 256), (0, 1 << 20, 0), (0, 1 << 20, -7),
+                 (0, 256 * 1024, 1)):
+        assert run(scenario(*case)) == (True, 0), case
 
 
 def test_a_window_or_fragment_below_one_byte_is_refused_before_sending():
@@ -614,6 +616,30 @@ def test_a_window_or_fragment_below_one_byte_is_refused_before_sending():
     refused, frames, windows = run(scenario())
     assert len(refused) == 4
     assert frames == windows == 0
+
+
+def test_a_window_of_too_many_fragments_is_refused_before_sending():
+    async def scenario():
+        broker = await start_live_broker()
+        client, receiver = await connect_receiver(broker, "alpha")
+        try:
+            transfer_id = await receiver.open("blob", 1 << 20)
+            frames = client.channel.frames_sent
+            with pytest.raises(BrokerError,
+                               match=f"more than {MAX_FRAGMENTS_PER_WINDOW} "):
+                await receiver.fetch(transfer_id, 1 << 20,
+                                     window_bytes=256 * 1024,
+                                     fragment_bytes=1)
+            sent = client.channel.frames_sent - frames
+            # A short fetch cuts short windows: the most fragments pass.
+            result = await receiver.fetch(
+                transfer_id, MAX_FRAGMENTS_PER_WINDOW, fragment_bytes=1)
+            return sent, result.fragments
+        finally:
+            await client.close()
+            await broker.close()
+
+    assert run(scenario()) == (0, MAX_FRAGMENTS_PER_WINDOW)
 
 
 def test_bulk_plane_is_closed_to_a_session_that_never_said_hello():

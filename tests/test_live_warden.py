@@ -54,11 +54,8 @@ def test_demand_scales_with_fidelity():
     warden = LiveWarden("127.0.0.1", 0, "w", chunk_bytes=16 * 1024,
                         period=0.25)
     core = warden.core
-    assert core.demand(1.0) == pytest.approx(65_536)
-    assert core.demand(0.5) == pytest.approx(32_768)
-    assert core.demand(0.01) == pytest.approx(655.36)
-    assert core.ladder.demands == tuple(
-        core.demand(level) for level in video_profile().levels)
+    assert video_profile().levels == (0.01, 0.5, 1.0)
+    assert core.ladder.demands == pytest.approx((655.36, 32_768, 65_536))
     assert core.min_fetch == 4096  # a window, whatever the fidelity
 
 
