@@ -52,9 +52,10 @@ def reset_in_flight(conn, reason="crash drill"):
     """Fail every pending RPC on ``conn`` and abandon its reply seqs.
 
     Failing the events delivers :class:`RpcError` at each waiter's
-    ``yield`` (callers treat it like any connection reset); moving the
-    seqs into the abandoned set makes the server's late replies discards
-    instead of unknown-sequence errors.  Returns the number killed.
+    ``yield`` (callers treat it like any connection reset); abandoning the
+    seqs makes the server's late replies discards instead of
+    unknown-sequence errors, and takes back a window train already logged
+    ahead of now.  Returns the number killed.
     """
     killed = 0
     for seq, waiter in list(conn._pending.items()):
@@ -64,9 +65,8 @@ def reset_in_flight(conn, reason="crash drill"):
         if not event.triggered:
             event.fail(RpcError(
                 f"{conn.connection_id}: in-flight op {seq} lost ({reason})"))
-        conn._abandoned.add(seq)
+        conn._abandon(seq)
         killed += 1
-    conn._pending.clear()
     return killed
 
 

@@ -116,9 +116,11 @@ class ClientShares:
         """
         if self._stale:
             merged = self._deliveries = DeliveryIndex()
-            for at, nbytes in sorted(entry for log in self._logs.values()
-                                     for entry in log.deliveries.live()):
-                merged.add(at, nbytes)
+            entries = sorted(entry for log in self._logs.values()
+                             for entry in log.deliveries.live())
+            if entries:
+                times, sizes = zip(*entries)
+                merged.extend(times, sizes, self.sim.now)
             for log in self._logs.values():
                 log.shared_deliveries = merged
             self._stale = False

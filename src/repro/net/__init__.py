@@ -6,7 +6,8 @@ model — latency plus bandwidth-induced delay — driven by a replay trace.  We
 model one level further down: the network itself is simulated, and the
 mobile client's (single) wireless link is the modulated element.
 
-- :class:`Packet` — what moves: addressed, sized, carrying a payload object.
+- :class:`Packet` — what moves: addressed, sized, carrying a payload object;
+  a :class:`Train` is packets sent back to back and delivered in runs.
 - :class:`SimplexLink` — a serializing FIFO link whose rate and latency
   follow a :class:`~repro.trace.ReplayTrace`; packet completion times are
   integrated exactly across trace transitions.
@@ -18,7 +19,7 @@ mobile client's (single) wireless link is the modulated element.
 from repro.net.host import Host
 from repro.net.link import LinkStats, SimplexLink
 from repro.net.network import Network
-from repro.net.packet import HEADER_BYTES, Packet
+from repro.net.packet import HEADER_BYTES, Packet, Train
 
 __all__ = [
     "HEADER_BYTES",
@@ -27,4 +28,5 @@ __all__ = [
     "Network",
     "Packet",
     "SimplexLink",
+    "Train",
 ]

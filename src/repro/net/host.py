@@ -7,8 +7,9 @@ class Host:
     """A simulated machine.
 
     Services bind to named ports; arriving packets dispatch to the bound
-    handler (``handler(packet)``).  Sending goes through the attached
-    :class:`~repro.net.network.Network`, which owns routing.
+    handler (``handler(packet)``), and a train once per run.  Sending goes
+    through the attached :class:`~repro.net.network.Network`, which owns
+    routing.
     """
 
     def __init__(self, sim, name):

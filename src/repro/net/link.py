@@ -11,18 +11,22 @@ The serializer is work-conserving and its trace is fixed before the run
 starts, so a packet's whole schedule is known the moment it is enqueued:
 it starts when the packet ahead of it finishes (or at once, on an idle
 link) and finishes where the trace's piecewise integration says.  ``send``
-computes that schedule and each packet costs one scheduled event, its
-delivery — the live :class:`~repro.live.throttle.Throttle` models the same
-link with the same single ``free_at`` cursor.  A per-link segment cursor
-answers the common case, a packet that starts and finishes inside one
-trace segment, with one division; everything else falls back to
-:func:`~repro.trace.integrate.transmission_finish_time`.
+computes that schedule for a packet, or for each packet of a
+:class:`~repro.net.packet.Train` in turn, in one loop — the live
+:class:`~repro.live.throttle.Throttle` models the same link with the same
+single ``free_at`` cursor.  A packet costs one scheduled event, its
+delivery; a train of n >= 2 packets costs two, its runs (every packet but
+the last at the first's arrival, the last at its own).  A per-link
+segment cursor answers the common case, a packet that starts and finishes
+inside one trace segment, with one division; everything else falls back
+to :func:`~repro.trace.integrate.transmission_finish_time`.
 """
 
 import math
 from dataclasses import dataclass
 
 from repro.errors import LinkDown
+from repro.net.packet import Train
 from repro.sim.events import Event
 from repro.trace.integrate import transmission_finish_time
 
@@ -47,22 +51,25 @@ class LinkStats:
 class SimplexLink:
     """One direction of the modulated wireless link.
 
-    ``send(packet)`` serializes the packet behind every packet already
-    accepted, then delivers it ``latency_at(finish)`` later via ``deliver``
-    (a callable set by the network), never ahead of an earlier packet.
+    ``send(packet)`` serializes the packet (or each packet of a train)
+    behind every packet already accepted, then delivers it
+    ``latency_at(finish)`` later via ``deliver`` (a callable set by the
+    network), never ahead of an earlier packet.
     Completion times are exact across trace transitions, and bit-identical
     to :func:`~repro.trace.integrate.transmission_finish_time` and
     :meth:`~repro.trace.replay.ReplayTrace.latency_at`.
 
     A send whose packet can never finish raises :class:`LinkDown` out of
-    the simulator's ``run``; every later send is silently parked, as on a
-    link busy forever.
+    the simulator's ``run``; every later packet is silently parked, as on
+    a link busy forever.
 
-    Loss bursts (``drop_filter``) are decided when the packet's delivery
+    Loss bursts (``drop_filter``) are decided when a packet's delivery
     fires, with its finish time as ``when``; a dropped packet keeps its
-    place in the FIFO delivery order.  Against deciding at the finish
-    instant, as a link with a separate finish event would, this differs
-    in two corner cases, both only when latency falls between two
+    place in the FIFO delivery order.  A train accepted while a filter is
+    armed is delivered one packet per run, so each is decided alone (the
+    filter sees it as :meth:`Train.packet` builds it).  Against deciding at the
+    finish instant, as a link with a separate finish event would, this
+    differs in two corner cases, both only when latency falls between two
     finishes: draws on an rng shared by both directions happen in delivery
     order, not finish order; and a packet can be clamped behind a dropped
     packet's delivery time.
@@ -93,54 +100,76 @@ class SimplexLink:
         self._latency = segment.latency
 
     def send(self, packet):
-        """Accept ``packet`` and schedule its delivery."""
+        """Accept ``packet``, or every packet of a :class:`Train` in
+        order, and schedule delivery."""
         sim = self.sim
         now = sim.now
-        packet.enqueued_at = now
         start = self._free_at
         if start < now:
             start = now
-        size = packet.size
-        if not self._seg_start <= start < self._seg_end:
-            self._seek(start)
-        bandwidth = self._bandwidth
-        # The same float operations as transmission_finish_time's first
-        # segment, so the fast path is bit-identical to it.
-        if bandwidth > 0 and (needed := size / bandwidth) <= self._seg_end - start:
-            finish = start + needed
-        else:
-            finish = transmission_finish_time(self.trace, start, size)
-            if finish == math.inf:
-                if self._free_at != math.inf:
-                    self._free_at = math.inf
-                    # Surface at run(): an unwaited failing event propagates
-                    # out of the kernel.
-                    Event(sim, name=f"{self.name}.down").fail(LinkDown(
-                        f"link {self.name!r}: bandwidth pinned at zero "
-                        f"forever; cannot transmit {packet!r}"
-                    ))
-                return
-        if finish >= self._seg_end:
-            self._seek(finish)
-        self._free_at = finish
         stats = self.stats
-        stats.packets_sent += 1
-        stats.bytes_sent += size
-        stats.busy_seconds += finish - start
-        deliver_at = finish + self._latency
-        # Enforce FIFO delivery even if latency drops mid-flight.
-        if deliver_at < self._last_delivery:
-            deliver_at = self._last_delivery
-        self._last_delivery = deliver_at
-        sim.call_at(deliver_at, self._finish_transmission, packet, finish)
+        last = self._last_delivery
+        finishes = []
+        deliveries = []
+        down = False
+        for size in packet.sizes:
+            if not self._seg_start <= start < self._seg_end:
+                self._seek(start)
+            bandwidth = self._bandwidth
+            # The same float operations as transmission_finish_time's first
+            # segment, so the fast path is bit-identical to it.
+            if bandwidth > 0 and (needed := size / bandwidth) <= self._seg_end - start:
+                finish = start + needed
+            else:
+                finish = transmission_finish_time(self.trace, start, size)
+                if finish == math.inf:
+                    down = True
+                    break
+            if finish >= self._seg_end:
+                self._seek(finish)
+            stats.packets_sent += 1
+            stats.bytes_sent += size
+            stats.busy_seconds += finish - start
+            deliver_at = finish + self._latency
+            # Enforce FIFO delivery even if latency drops mid-flight.
+            if deliver_at < last:
+                deliver_at = last
+            last = deliver_at
+            finishes.append(finish)
+            deliveries.append(deliver_at)
+            start = finish
+        self._last_delivery = last
+        if type(packet) is Train:
+            # Where the kernel lands each call_at(deliver_at) issued now.
+            packet.arrivals = [now + (at - now) for at in deliveries]
+            for lo, hi in packet.runs(self.drop_filter is not None):
+                sim.call_at(deliveries[lo], self._finish_transmission,
+                            packet, finishes[lo], lo, hi)
+        elif deliveries:
+            sim.call_at(deliveries[0], self._finish_transmission, packet,
+                        finishes[0])
+        if not down:
+            self._free_at = start
+        elif self._free_at != math.inf:
+            self._free_at = math.inf
+            # Surface at run(): an unwaited failing event propagates out of
+            # the kernel.  Packets after this one are parked with it.
+            Event(sim, name=f"{self.name}.down").fail(LinkDown(
+                f"link {self.name!r}: bandwidth pinned at zero forever; "
+                f"cannot transmit {packet!r}"
+            ))
 
-    def _finish_transmission(self, packet, finish):
-        # The link's one event per packet: deliver or drop.  The repository
-        # benchmark counts packets by this function's name (bench/).
-        if self.drop_filter is not None and self.drop_filter(packet, finish):
+    def _finish_transmission(self, packet, when, lo=0, hi=1):
+        # The link's one delivery event per packet or per run of a train:
+        # deliver or drop.  The repository benchmark counts these events by
+        # this function's name (bench/).
+        if hi - lo == 1 and self.drop_filter is not None and self.drop_filter(
+                packet.packet(lo), when):
             self.stats.packets_dropped += 1
             return
-        packet.delivered_at = self.sim.now
         if self.deliver is None:
             raise LinkDown(f"link {self.name!r} has no delivery target")
+        if type(packet) is Train:
+            packet.lo = lo
+            packet.hi = hi
         self.deliver(packet)

@@ -14,6 +14,7 @@ transmission at Ethernet speed, with no modeled contention.
 from repro.errors import NetworkError
 from repro.net.host import Host
 from repro.net.link import SimplexLink
+from repro.net.packet import Train
 
 #: Fast-LAN parameters for server-to-server hops.
 WIRED_BANDWIDTH = 1250 * 1024  # 10 Mb/s Ethernet, bytes/s
@@ -78,12 +79,30 @@ class Network:
             # not overtake a large one sent earlier on the same path (a
             # window's final fragment arriving first would corrupt
             # transfers).
-            delay = WIRED_LATENCY + packet.size / WIRED_BANDWIDTH
+            sim = self.sim
+            now = sim.now
             pair = (packet.src, packet.dst)
-            deliver_at = max(self.sim.now + delay,
-                             self._wired_last_delivery.get(pair, 0.0))
-            self._wired_last_delivery[pair] = deliver_at
-            self.sim.call_at(deliver_at, self._deliver, packet)
+            last = self._wired_last_delivery.get(pair, 0.0)
+            deliveries = []
+            for size in packet.sizes:
+                deliver_at = now + (WIRED_LATENCY + size / WIRED_BANDWIDTH)
+                if deliver_at < last:
+                    deliver_at = last
+                last = deliver_at
+                deliveries.append(deliver_at)
+            self._wired_last_delivery[pair] = last
+            if type(packet) is Train:
+                packet.arrivals = [now + (at - now) for at in deliveries]
+                for lo, hi in packet.runs():
+                    sim.call_at(deliveries[lo], self._deliver_run, packet,
+                                lo, hi)
+            else:
+                sim.call_at(last, self._deliver, packet)
 
     def _deliver(self, packet):
         self.hosts[packet.dst].receive(packet)
+
+    def _deliver_run(self, train, lo, hi):
+        train.lo = lo
+        train.hi = hi
+        self._deliver(train)

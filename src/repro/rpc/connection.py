@@ -8,6 +8,13 @@ simulated process drives them with ``yield from`` and receives the result::
         reply = yield from conn.call("ping", body_bytes=128)
         data = yield from conn.fetch("get-object", body={"name": "x"})
 
+The server answers a window request with its fragments as one
+:class:`~repro.net.packet.Train`, which arrives in runs (two, or one per
+fragment on a lossy link).  The client logs every fragment at its own
+arrival — ahead of now for a run's later fragments — and counts a run in
+one :meth:`~repro.rpc.transfer.WindowedFetch.take`; a window abandoned
+mid-train takes back what is logged ahead (:meth:`RpcConnection._retract`).
+
 Reliability: there is no retransmission machinery.  A fragment lost to an
 injected fault leaves its window short and the next window resumes after
 what arrived (:mod:`repro.rpc.transfer`); any other lost packet is a
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 from repro import telemetry
 from repro.errors import RpcError, RpcTimeout
 from repro.sim.events import AnyOf
-from repro.net.packet import HEADER_BYTES, Packet
+from repro.net.packet import HEADER_BYTES, Packet, Train
 from repro.rpc.clock import RetrySchedule, SimClock
 from repro.rpc.logs import RpcLog
 from repro.rpc.messages import (
@@ -29,7 +36,7 @@ from repro.rpc.messages import (
     BulkSource,
     CallRequest,
     CallResponse,
-    Fragment,
+    FragmentTrain,
     ServerReply,
     WindowAck,
     WindowRequest,
@@ -313,27 +320,29 @@ class RpcService:
             raise RpcError(
                 f"service {self.port!r}: empty window at offset {request.offset}"
             )
-        for offset, nbytes, last_in_window, last_in_transfer in fragments(
+        offsets, nbytes, sizes = [], [], []
+        for offset, size, _, last_in_transfer in fragments(
                 request.offset, request.offset + window, end,
                 request.fragment_bytes):
-            fragment = Fragment(
-                connection_id=request.connection_id,
-                seq=request.seq,
-                transfer_id=request.transfer_id,
-                offset=offset,
-                nbytes=nbytes,
-                last_in_window=last_in_window,
-                last_in_transfer=last_in_transfer,
+            offsets.append(offset)
+            nbytes.append(size)
+            sizes.append(HEADER_BYTES + size)
+        self.host.send(
+            Train(
+                src=self.host.name,
+                dst=_host_of(request.reply_port),
+                port=request.reply_port,
+                sizes=sizes,
+                payload=FragmentTrain(
+                    connection_id=request.connection_id,
+                    seq=request.seq,
+                    transfer_id=request.transfer_id,
+                    offsets=offsets,
+                    nbytes=nbytes,
+                    last_in_transfer=last_in_transfer,
+                ),
             )
-            self.host.send(
-                Packet(
-                    src=self.host.name,
-                    dst=_host_of(request.reply_port),
-                    port=request.reply_port,
-                    size=HEADER_BYTES + nbytes,
-                    payload=fragment,
-                )
-            )
+        )
         if source is not None:
             source.consumed = max(source.consumed, request.offset + window)
             if source.consumed >= end:
@@ -424,6 +433,7 @@ class RpcConnection:
         self._seq = itertools.count(1)
         self._pending = {}
         self._abandoned = set()  # timed-out seqs whose late replies we drop
+        self._ahead = None  # seq of the train logged ahead of now, if any
         self.late_replies = 0
         self.timeouts = 0  # RpcTimeouts raised (any operation)
         self.retries = 0  # attempts re-issued by *_with_retry
@@ -443,15 +453,36 @@ class RpcConnection:
         not crash the host with an unbound-port error.
         """
         if not self._closed:
+            self._retract(self._ahead)
             self.client.unbind(self._port)
             self.client.bind(self._port, self._on_packet_after_close)
             self._closed = True
 
     def _on_packet_after_close(self, packet):
-        self.late_replies += 1
+        self._late(packet.hi - packet.lo if type(packet) is Train else 1)
+
+    def _late(self, count):
+        """Count ``count`` packets that arrived for an abandoned exchange."""
+        self.late_replies += count
         rec = telemetry.RECORDER
         if rec.enabled:
-            rec.count("rpc.late_replies", connection=self.connection_id)
+            rec.count("rpc.late_replies", count, connection=self.connection_id)
+
+    def _abandon(self, seq):
+        """Give up on exchange ``seq``: whatever still answers it is dropped
+        and counted as a late reply."""
+        self._pending.pop(seq, None)
+        self._abandoned.add(seq)
+        self._retract(seq)
+
+    def _retract(self, seq):
+        """Take back a train of ``seq`` logged ahead of now: its fragments
+        still to come never arrive for the log, and count as late."""
+        if seq is not None and seq == self._ahead:
+            self._ahead = None
+            late = self.log.retract()
+            if late:
+                self._late(late)
 
     # -- small exchanges -------------------------------------------------------
 
@@ -530,8 +561,7 @@ class RpcConnection:
         if not event.triggered:
             # Abandon the exchange: a late reply must not be mistaken for
             # a response to some future sequence number.
-            self._pending.pop(seq, None)
-            self._abandoned.add(seq)
+            self._abandon(seq)
             self.timeouts += 1
             rec = telemetry.RECORDER
             if rec.enabled:
@@ -735,30 +765,20 @@ class RpcConnection:
     # -- receive dispatch --------------------------------------------------------
 
     def _on_packet(self, packet):
+        if type(packet) is Train:
+            self._on_run(packet)
+            return
         message = packet.payload
         # The abandoned set is empty except around timeouts, so test it
         # before paying for the getattr — this dispatch runs per packet.
         if self._abandoned and getattr(message, "seq", None) in self._abandoned:
             # A reply outliving its timeout: drop it (the exchange's state
             # is gone) but account for it.
-            self.late_replies += 1
-            rec = telemetry.RECORDER
-            if rec.enabled:
-                rec.count("rpc.late_replies", connection=self.connection_id)
-            if isinstance(message, (CallResponse, WindowAck)) or (
-                    isinstance(message, Fragment) and message.last_in_window):
+            self._late(1)
+            if isinstance(message, (CallResponse, WindowAck)):
                 self._abandoned.discard(message.seq)
             return
-        if isinstance(message, Fragment):
-            fetch = self._pending.get(message.seq)
-            if fetch is None:
-                raise RpcError(f"{self!r}: fragment for unknown seq {message.seq}")
-            self.log.add_delivery(message.nbytes)
-            if fetch.take(message.offset, message.nbytes,
-                          message.last_in_window, message.last_in_transfer):
-                del self._pending[message.seq]
-                fetch.event.succeed()
-        elif isinstance(message, CallResponse):
+        if isinstance(message, CallResponse):
             waiter = self._pending.pop(message.seq, None)
             if waiter is None:
                 raise RpcError(f"{self!r}: response for unknown seq {message.seq}")
@@ -770,6 +790,41 @@ class RpcConnection:
             waiter.succeed(message)
         else:
             raise RpcError(f"{self!r}: unexpected message {message!r}")
+
+    def _on_run(self, train):
+        """Take the fragments ``[train.lo, train.hi)`` of a window.
+
+        Each is logged at its own arrival, those after now ahead of time
+        (the log's readers see them when their time comes), and all are
+        counted in one :meth:`WindowedFetch.take`.  Nothing reads a
+        window's count before it closes, and an abandoned window's
+        fragments still to come are taken back from the log
+        (:meth:`_retract`), so this is exactly what taking them one by one
+        as they arrive would give.
+        """
+        message = train.payload
+        seq = message.seq
+        lo, hi = train.lo, train.hi
+        closes = hi == len(train.sizes)
+        if self._abandoned and seq in self._abandoned:
+            self._late(hi - lo)
+            if closes:
+                self._abandoned.discard(seq)
+            return
+        fetch = self._pending.get(seq)
+        if fetch is None:
+            raise RpcError(f"{self!r}: fragments for unknown seq {seq}")
+        nbytes = message.nbytes
+        if hi - lo == 1:
+            self._ahead = None
+            self.log.add_delivery(nbytes[lo])
+        else:
+            self._ahead = seq
+            self.log.add_deliveries(train.arrivals[lo:hi], nbytes[lo:hi])
+        if fetch.take(message.offsets[lo], sum(nbytes[lo:hi]), closes,
+                      closes and message.last_in_transfer):
+            del self._pending[seq]
+            fetch.event.succeed()
 
     def _check_open(self):
         if self._closed:

@@ -69,6 +69,13 @@ class DeliveryIndex:
     marks the first live entry; the dead prefix is removed in chunks
     (amortized O(1)) except its last entry, which — like the zero sentinel
     before any pruning — keeps ``cums[lo - 1]`` valid without a guard.
+
+    Entries may be dated ahead of now (:meth:`extend`: a fragment train
+    whose later packets have not arrived yet).  Every reader asks about
+    ``(start, now]``, so they stay invisible until their time comes.  An
+    entry ahead never prunes: on each add or retraction, retention is
+    reckoned from the newest entry not ahead of now.  An :meth:`add`
+    behind them is inserted in order, and :meth:`retract` drops them.
     """
 
     __slots__ = ("times", "cums", "head")
@@ -79,8 +86,12 @@ class DeliveryIndex:
         self.head = 1
 
     def add(self, now, nbytes):
-        """Record ``nbytes`` arriving at ``now`` (not before the last add)."""
+        """Record ``nbytes`` arriving at ``now``, the current time."""
         times = self.times
+        if now < times[-1]:
+            self._insert(now, nbytes)
+            self._prune(now)
+            return
         times.append(now)
         self.cums.append(self.cums[-1] + nbytes)
         horizon = now - DELIVERY_HISTORY_SECONDS
@@ -92,6 +103,62 @@ class DeliveryIndex:
             del self.cums[:head - 1]
             head = 1
         self.head = head
+
+    def extend(self, times, sizes, now):
+        """Record ``sizes[i]`` arriving at ``times[i]``, sorted; those
+        after ``now``, the current time, are dated ahead."""
+        if times[0] >= self.times[-1]:
+            cums = self.cums
+            total = cums[-1]
+            for nbytes in sizes:
+                total += nbytes
+                cums.append(total)
+            self.times.extend(times)
+        else:
+            for at, nbytes in zip(times, sizes):
+                self._insert(at, nbytes)
+        self._prune(now)
+
+    def _insert(self, at, nbytes):
+        times, cums = self.times, self.cums
+        i = bisect_right(times, at, self.head)
+        times.insert(i, at)
+        cums.insert(i, cums[i - 1] + nbytes)
+        for j in range(i + 1, len(cums)):
+            cums[j] += nbytes
+
+    def _prune(self, now):
+        times = self.times
+        newest = times[bisect_right(times, now, self.head) - 1]
+        horizon = newest - DELIVERY_HISTORY_SECONDS
+        head = self.head
+        while head < len(times) and times[head] < horizon:
+            head += 1
+        self.head = head
+
+    def retract(self, now):
+        """Drop every entry dated after ``now``; returns how many."""
+        times = self.times
+        keep = bisect_right(times, now, self.head)
+        dropped = len(times) - keep
+        if dropped:
+            del times[keep:]
+            del self.cums[keep:]
+            self._prune(now)
+        return dropped
+
+    def total(self, now):
+        """Bytes that arrived up to ``now``, pruned entries included."""
+        times = self.times
+        if times[-1] <= now:
+            return self.cums[-1]
+        return self.cums[bisect_right(times, now, self.head) - 1]
+
+    def latest(self, now):
+        """Time of the newest entry not after ``now``, or None."""
+        times = self.times
+        at = times[bisect_right(times, now, self.head) - 1]
+        return None if at == float("-inf") else at
 
     def between(self, start, end):
         """Bytes that arrived in the half-open interval (start, end]."""
@@ -163,12 +230,28 @@ class RpcLog:
         if self.shared_deliveries is not None:
             self.shared_deliveries.add(now, nbytes)
 
+    def add_deliveries(self, times, sizes):
+        """Record payload ``sizes[i]`` arriving at ``times[i]``, sorted and
+        none before now: a fragment train, logged at its first arrival."""
+        now = self.sim.now
+        self.deliveries.extend(times, sizes, now)
+        if self.shared_deliveries is not None:
+            self.shared_deliveries.extend(times, sizes, now)
+
+    def retract(self):
+        """Drop the deliveries logged ahead of now (an abandoned train's
+        fragments still to come); returns how many."""
+        now = self.sim.now
+        if self.shared_deliveries is not None:
+            self.shared_deliveries.retract(now)
+        return self.deliveries.retract(now)
+
     # -- queries (used by estimators) ----------------------------------------
 
     @property
     def delivered_total(self):
-        """Total payload bytes ever delivered on this endpoint."""
-        return self.deliveries.cums[-1]
+        """Total payload bytes delivered on this endpoint so far."""
+        return self.deliveries.total(self.sim.now)
 
     def bytes_delivered_between(self, start, end):
         """Payload bytes that arrived in the half-open interval (start, end].
@@ -189,6 +272,7 @@ class RpcLog:
         """Time of the most recent entry of any kind, or None."""
         times = [entries[-1].at
                  for entries in (self.round_trips, self.throughputs) if entries]
-        if len(self.deliveries.times) > 1:  # beyond the sentinel
-            times.append(self.deliveries.times[-1])
+        latest = self.deliveries.latest(self.sim.now)
+        if latest is not None:
+            times.append(latest)
         return max(times, default=None)

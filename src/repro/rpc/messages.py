@@ -1,8 +1,8 @@
 """Message types exchanged by the RPC protocol.
 
 These are payload objects carried inside :class:`~repro.net.Packet`; they
-are never serialized, only sized.  All are slotted: fragments and acks are
-allocated per packet on the bulk-transfer hot path.
+are never serialized, only sized.  All are slotted: some are allocated per
+packet or per frame on the bulk hot paths.
 """
 
 from dataclasses import dataclass, field
@@ -60,6 +60,30 @@ class Fragment:
     nbytes: int
     last_in_window: bool
     last_in_transfer: bool
+
+
+@dataclass(slots=True)
+class FragmentTrain:
+    """A bulk-transfer window's fragments, sent as one train.
+
+    The payload of a :class:`~repro.net.packet.Train`: fragment ``i``
+    carries ``nbytes[i]`` bytes from ``offsets[i]``; the last closes the
+    window, and ends the transfer if ``last_in_transfer``.
+    """
+
+    connection_id: str
+    seq: int
+    transfer_id: int
+    offsets: list
+    nbytes: list
+    last_in_transfer: bool
+
+    def fragment(self, i):
+        """Fragment ``i`` as a message of its own."""
+        last = i == len(self.nbytes) - 1
+        return Fragment(self.connection_id, self.seq, self.transfer_id,
+                        self.offsets[i], self.nbytes[i], last,
+                        last and self.last_in_transfer)
 
 
 @dataclass(slots=True)

@@ -61,8 +61,8 @@ class WindowedFetch:
         return self.held, min(self.window_bytes, self.nbytes - self.held)
 
     def take(self, offset, nbytes, last_in_window, last_in_transfer):
-        """Count one fragment of the window in flight; True if it closed
-        the window.
+        """Count one fragment of the window in flight, or a run of
+        contiguous ones; True if it closed the window.
 
         A closing fragment ends the transfer when it is empty (nothing
         more to send), or when it is the transfer's last and nothing is

@@ -210,6 +210,25 @@ def test_log_registered_with_history_joins_the_aggregate(sim):
     assert shares._delivered_between(1.0, sim.now) == 12_000
 
 
+def test_a_train_ahead_survives_a_re_merge(sim):
+    """A log re-merged mid-train brings its entries ahead of now along,
+    invisible until they arrive, and they prune nothing a query at now
+    still needs; retracting them leaves the merged index too."""
+    shares, logs = make_shares(sim, "a", "b")
+    sim.run(until=1.0)
+    logs["a"].add_delivery(1_000)
+    sim.run(until=30.5)
+    logs["b"].add_deliveries([30.5, 35.0, 40.0], [10, 20, 40])
+    shares.unregister("a")  # marks the shared index stale
+    shares.register(logs["a"])
+    assert shares._delivered_between(sim.now - 30.0, sim.now) == 1_010
+    sim.run(until=36.0)
+    assert shares._delivered_between(sim.now - 30.0, sim.now) == 30
+    assert logs["b"].retract() == 1  # and retention follows the 35.0 entry
+    sim.run(until=41.0)
+    assert shares._delivered_between(0.0, sim.now) == 30
+
+
 # -- the shared index against a brute-force model ------------------------------
 
 

@@ -12,7 +12,7 @@ from repro.errors import LinkDown, NetworkError
 from repro.faults.injector import LinkFaultInjector
 from repro.faults.plan import LossBurst
 from repro.net.link import LinkStats, SimplexLink
-from repro.net.packet import HEADER_BYTES, Packet
+from repro.net.packet import HEADER_BYTES, Packet, Train
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
 from repro.trace.integrate import transmission_finish_time
@@ -346,3 +346,156 @@ def test_schedule_is_bit_identical_to_the_trace_integrals(segments,
     expected.sort(key=lambda item: item[:2])
     assert delivered == [(time, tag) for time, tag, _ in expected]
     assert finishes == {tag: finish for _, tag, finish in expected}
+
+
+# -- a train against the back-to-back packets it stands for ---------------------
+
+class Tagged:
+    """A train payload naming each packet ``(train, index)``."""
+
+    def __init__(self, tag):
+        self.tag = tag
+
+    def fragment(self, i):
+        return self.tag, i
+
+
+def run_trains(trace, trains, as_trains, drop_filter=None):
+    """Every packet's ``(tag, index, arrival)`` in delivery order, the
+    instants the link went down, and its stats, for ``trains``
+    (``(gap, sizes)`` pairs) sent as :class:`Train` s or as the same
+    packets one ``send`` each."""
+    sim = Simulator()
+    arrived, runs, downs = [], [], []
+
+    def deliver(packet):
+        if type(packet) is Train:
+            lo, hi = packet.lo, packet.hi
+            assert sim.now == packet.arrivals[lo]
+            runs.append(hi - lo)
+            arrived.extend((*packet.payload.fragment(k), packet.arrivals[k])
+                           for k in range(lo, hi))
+        else:
+            arrived.append((*packet.payload, sim.now))
+
+    link = SimplexLink(sim, trace, "link", deliver=deliver)
+    link.drop_filter = drop_filter
+
+    def send(tag, sizes):
+        if as_trains:
+            link.send(Train("a", "b", "p", list(sizes), Tagged(tag)))
+        else:
+            for i, size in enumerate(sizes):
+                link.send(make_packet(size, (tag, i)))
+
+    at = 0.0
+    for tag, (gap, sizes) in enumerate(trains):
+        at += gap
+        sim.call_at(at, send, tag, sizes)
+    while True:
+        try:
+            sim.run()
+            break
+        except LinkDown:
+            downs.append(sim.now)
+    return arrived, runs, downs, link.stats
+
+
+train_sends = st.lists(
+    st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+              st.lists(st.integers(HEADER_BYTES, 3000), min_size=1,
+                       max_size=20)),
+    max_size=12,
+)
+#: Arbitrary floats, and dyadic traces whose last segment may hold zero
+#: bandwidth forever, so the link goes down mid-train.
+train_traces = st.one_of(
+    dyadic_traces(),
+    st.builds(lambda segments, tail: ReplayTrace(
+        [*segments, Segment(1.0, tail, 0.01)]),
+        st.lists(arbitrary_segments, min_size=1, max_size=8),
+        arbitrary_bandwidths),
+)
+
+
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(trace=train_traces, trains=train_sends, drops=st.booleans())
+def test_a_train_is_its_packets_sent_back_to_back(trace, trains, drops):
+    """Every packet of a train arrives at the instant, bit for bit, that
+    it would sent alone right behind the one before, and the link counts
+    the same: a train of n >= 2 packets in two runs, every packet but the
+    last at the first's arrival; with a drop filter armed, one run per
+    packet."""
+    never = (lambda packet, when: False) if drops else None
+    arrived, runs, downs, stats = run_trains(trace, trains, True, never)
+    expected, _, expected_downs, expected_stats = run_trains(
+        trace, trains, False, never)
+    assert arrived == expected
+    assert downs == expected_downs
+    assert stats == expected_stats
+    if drops:
+        assert set(runs) <= {1}
+
+
+# -- whole worlds: trains against runs of one ----------------------------------
+
+def world_outcomes():
+    """Two fig8 trials, a short fig14 trial, a 64-client fleet, and a
+    stormed chaos shard whose fetch timeouts and crash drill both abandon
+    a window mid-train."""
+    from dataclasses import replace
+
+    from repro.chaos import standard_profile
+    from repro.experiments.concurrent import concurrent_trial_outcome
+    from repro.experiments.supply import run_supply_trial
+    from repro.fleet.harness import run_fleet
+    from repro.fleet.shard import run_fleet_shard
+    from repro.trace.algebra import scale_time
+    from repro.trace.waveforms import urban_walk
+
+    fig8 = [run_supply_trial(name, seed=seed).series
+            for name, seed in (("step-up", 0), ("step-down", 1))]
+    fig14 = concurrent_trial_outcome("odyssey", seed=0,
+                                     trace=scale_time(urban_walk(), 0.02))
+    fleet = run_fleet(clients=64, shards=4, duration=8.0, prime=4.0,
+                      jobs=1, cache=None)
+    storm = replace(standard_profile("regional-blackout", 30.0), drill_at=3.41)
+    chaos = run_fleet_shard(8, 30.0, shard=0, seed=7, chaos=storm)
+    assert chaos.chaos.drill is not None and chaos.chaos.violations == ()
+    return fig8, fig14, fleet.fingerprint(), chaos
+
+
+def test_worlds_are_identical_when_every_fragment_is_a_run_of_one(monkeypatch):
+    """A drop filter that never drops makes each link deliver every
+    fragment alone, at its own arrival; every figure, fleet and chaos
+    outcome must stay bit for bit what whole trains give."""
+    from repro.rpc.logs import RpcLog
+
+    retract = RpcLog.retract
+    retracted = []
+
+    def counted_retract(log):
+        retracted.append(retract(log))
+        return retracted[-1]
+
+    monkeypatch.setattr(RpcLog, "retract", counted_retract)
+    trains = world_outcomes()
+    # The storm's deadline and its drill each took back part of a train.
+    assert len([n for n in retracted if n]) >= 2
+
+    init = SimplexLink.__init__
+    finish = SimplexLink._finish_transmission
+    runs = []
+
+    def armed(link, *args, **kwargs):
+        init(link, *args, **kwargs)
+        link.drop_filter = lambda packet, when: False
+
+    def counted(link, packet, when, lo=0, hi=1):
+        runs.append(hi - lo)
+        return finish(link, packet, when, lo, hi)
+
+    monkeypatch.setattr(SimplexLink, "__init__", armed)
+    monkeypatch.setattr(SimplexLink, "_finish_transmission", counted)
+    assert world_outcomes() == trains
+    assert runs and set(runs) == {1}

@@ -254,3 +254,65 @@ def test_timeout_does_not_fire_on_fast_replies(world):
     sim.run(until=20.0)
     assert process.value == "all good"
     assert connection.late_replies == 0
+
+
+# -- a window abandoned while its fragments are still arriving ----------------
+
+#: When the 1 s deadline of the first window fires, 9 of its 16 fragments
+#: have arrived on a 20 000 B/s link: 9 x 2 048 B plus the 64 B reply.
+DELIVERED_BY_THE_DEADLINE = 9 * 2048 + 64
+DEADLINE = 1.0434
+
+
+@pytest.fixture
+def slow_world():
+    sim = Simulator()
+    network = Network(sim, constant(20_000, duration=3600))
+    service = RpcService(sim, network.add_host("server"), "svc")
+    service.register(
+        "get", lambda body: ServerReply(bulk=service.make_bulk(64 * 1024)))
+    return sim, RpcConnection(sim, network, "server", "svc", "c")
+
+
+@pytest.mark.parametrize("abandon", ["timeout", "close", "reset_in_flight"])
+def test_a_window_abandoned_mid_train_logs_only_what_arrived(slow_world,
+                                                              abandon):
+    """The deadline, ``close()`` and the crash drill's reset all abandon
+    the window with 7 fragments still on the way: the log keeps the 9
+    that arrived, at any later instant, and the 7 count as late."""
+    from repro.chaos.drill import reset_in_flight
+
+    sim, connection = slow_world
+    outcome = {}
+
+    def client():
+        try:
+            yield from connection.fetch(
+                "get", timeout=1.0 if abandon == "timeout" else None)
+        except (RpcTimeout, RpcError) as exc:
+            outcome["failed"] = (type(exc), sim.now)
+
+    sim.process(client())
+    if abandon == "close":
+        sim.call_at(DEADLINE, connection.close)
+    elif abandon == "reset_in_flight":
+        sim.call_at(DEADLINE, reset_in_flight, connection)
+    log = connection.log
+    reads = []
+
+    def read():
+        reads.append((sim.now, log.bytes_delivered_between(0, sim.now),
+                      log.delivered_total))
+
+    for when in (0.5, 1.2, 1.6, 2.0, 3.0):
+        sim.call_at(when, read)
+    sim.run(until=10.0)
+    assert reads[0][1] == reads[0][2] < DELIVERED_BY_THE_DEADLINE
+    assert reads[1:] == [(when, DELIVERED_BY_THE_DEADLINE,
+                          DELIVERED_BY_THE_DEADLINE)
+                         for when in (1.2, 1.6, 2.0, 3.0)]
+    assert connection.late_replies == 7
+    assert log.last_activity() < DEADLINE
+    expected = {"timeout": (RpcTimeout, DEADLINE), "close": None,
+                "reset_in_flight": (RpcError, DEADLINE)}[abandon]
+    assert outcome.get("failed") == expected

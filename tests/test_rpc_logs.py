@@ -1,8 +1,10 @@
 """Endpoint observation logs."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.rpc.logs import DELIVERY_HISTORY_SECONDS, RpcLog
+from repro.rpc.logs import DELIVERY_HISTORY_SECONDS, DeliveryIndex, RpcLog
 
 
 @pytest.fixture
@@ -86,3 +88,81 @@ def test_last_activity(sim, log):
     sim.run(until=7.0)
     log.add_delivery(10)
     assert log.last_activity() == 7.0
+
+
+# -- entries dated ahead of now -------------------------------------------------
+
+#: Quarter seconds: ties between a train's packets, and with the clock,
+#: are common.
+quarters = st.integers(0, 48).map(lambda n: n / 4)
+operations = st.lists(st.one_of(
+    st.tuples(st.just("advance"), quarters),
+    st.tuples(st.just("add"), st.integers(0, 5000)),
+    st.tuples(st.just("train"), st.lists(
+        st.tuples(quarters, st.integers(0, 5000)), min_size=1, max_size=12)),
+    st.tuples(st.just("retract"), st.none()),
+), max_size=60)
+
+
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(operations=operations)
+def test_entries_ahead_of_now_match_a_plain_event_list(operations):
+    """Against every entry kept in a list: entries after now are invisible
+    to ``(start, now]``, an add behind them lands in order, no entry a
+    30 s query at now needs is ever pruned, a retraction drops exactly
+    the entries after now, and the total and the latest entry answer as
+    of now."""
+    index = DeliveryIndex()
+    events = []  # (time, nbytes), every entry ever kept
+    now = 0.0
+    for op, arg in operations:
+        if op == "advance":
+            now += arg
+        elif op == "add":
+            index.add(now, arg)
+            events.append((now, arg))
+        elif op == "train":
+            times, at = [], now
+            for gap, _ in arg:
+                at += gap
+                times.append(at)
+            sizes = [nbytes for _, nbytes in arg]
+            index.extend(times, sizes, now)
+            events.extend(zip(times, sizes))
+        else:
+            after = [event for event in events if event[0] > now]
+            assert index.retract(now) == len(after)
+            events = [event for event in events if event[0] <= now]
+        for back in (0.0, 0.25, 7.5, 29.75, DELIVERY_HISTORY_SECONDS):
+            start = now - back
+            assert index.between(start, now) == sum(
+                nbytes for at, nbytes in events if start < at <= now)
+        assert index.total(now) == sum(n for at, n in events if at <= now)
+        assert index.latest(now) == max(
+            (at for at, _ in events if at <= now), default=None)
+        assert list(index.times[index.head:]) == sorted(
+            index.times[index.head:])
+
+
+def test_a_train_logged_ahead_is_seen_as_it_arrives(sim, log):
+    sim.run(until=1.0)
+    log.add_deliveries([1.0, 1.5, 2.0], [100, 200, 400])
+    assert log.delivered_total == 100
+    assert log.bytes_delivered_between(0, sim.now) == 100
+    assert log.last_activity() == 1.0
+    log.add_delivery(64)  # a reply logged at the train's first arrival
+    sim.run(until=1.75)
+    assert log.delivered_total == 364
+    assert log.last_activity() == 1.5
+    assert log.retract() == 1
+    sim.run(until=5.0)
+    assert log.delivered_total == log.bytes_delivered_between(0, 5.0) == 364
+    assert log.last_activity() == 1.5
+
+
+def test_a_train_ahead_prunes_nothing_a_query_at_now_needs(sim, log):
+    sim.run(until=1.0)
+    log.add_delivery(100)
+    sim.run(until=30.5)
+    log.add_deliveries([30.5, 40.0], [10, 20])
+    assert log.bytes_delivered_between(sim.now - 30.0, sim.now) == 110

@@ -29,7 +29,7 @@ from repro.experiments.web import run_web_trial
 from repro.fleet import run_fleet
 from repro.net.link import LinkStats
 from repro.net.network import Network
-from repro.net.packet import Packet
+from repro.net.packet import Packet, Train
 from repro.rpc.connection import RetryPolicy
 from repro.rpc.logs import RoundTripEntry, ThroughputEntry
 from repro.rpc.messages import (
@@ -38,6 +38,7 @@ from repro.rpc.messages import (
     CallRequest,
     CallResponse,
     Fragment,
+    FragmentTrain,
     ServerReply,
     WindowAck,
     WindowRequest,
@@ -192,6 +193,7 @@ def _hot_path_instances():
     yield Semaphore(sim, capacity=2)
     yield sim.call_at(5.0, lambda: None)
     yield Packet(src="a", dst="b", port="p", size=100)
+    yield Train(src="a", dst="b", port="p", sizes=[100, 100])
     yield LinkStats()
     yield RetryPolicy()
     yield CallRequest(connection_id="c", seq=1, op="op", body=None,
@@ -202,6 +204,8 @@ def _hot_path_instances():
                         window_bytes=1024, fragment_bytes=256, reply_port="p")
     yield Fragment(connection_id="c", seq=1, transfer_id=1, offset=0,
                    nbytes=256, last_in_window=False, last_in_transfer=False)
+    yield FragmentTrain(connection_id="c", seq=1, transfer_id=1,
+                        offsets=[0], nbytes=[256], last_in_transfer=True)
     yield BulkPush(connection_id="c", seq=1, transfer_id=1, offset=0,
                    nbytes=256, last_in_window=True, last_in_transfer=False,
                    reply_port="p")

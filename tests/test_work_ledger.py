@@ -6,20 +6,25 @@ pinned here at zero tolerance: a change that moves one must re-pin it and
 say why.
 
 Counts come from test-local wrappers around ``Simulator.schedule`` /
-``Simulator.timeout`` (every kernel event passes through one of the two)
-and around ``SimplexLink.send`` / ``SimplexLink._finish_transmission``
-(one call per accepted and per delivered packet).  Nothing under ``src/``
+``Simulator.timeout`` (every kernel event passes through one of the two),
+around ``SimplexLink._finish_transmission`` (one call per delivery event)
+and around ``SimplexLink.__init__`` (to read each link's ``LinkStats``,
+which count packets as the link accepts them).  Nothing under ``src/``
 knows it is being counted.
 
-Before the link scheduled one event per packet it scheduled two, one to
-finish the transmission and one to deliver it.  Its counts were:
+A bulk window's fragments cross the link as one train, delivered in two
+events: every fragment but the last at the first's arrival, and the last
+at its own.  Before, every packet was its own delivery event, and before
+that the link scheduled two events per packet, one to finish the
+transmission and one to deliver it.  Their counts were:
 
-=================================  ======  ================
-trial                              events  packets finished
-=================================  ======  ================
-fig8 ``step-up``, seed 0            6 439             3 008
-fig14 odyssey, 2 % walk, seed 0    17 280             3 672
-=================================  ======  ================
+=================================  ==========  ==========  =========
+trial                              two events  one event   packets
+                                   per packet  per packet  delivered
+=================================  ==========  ==========  =========
+fig8 ``step-up``, seed 0                6 439       3 446      3 008
+fig14 odyssey, 2 % walk, seed 0        17 280      13 608      3 671
+=================================  ==========  ==========  =========
 """
 
 import pytest
@@ -33,53 +38,42 @@ from repro.trace.waveforms import urban_walk
 
 
 class WorkCounter:
-    """Kernel events and link packets of everything run while installed."""
+    """Kernel events, link delivery events and link packets of everything
+    run while installed."""
 
     def __init__(self, monkeypatch):
         self.events = 0
-        self.delivered = 0
-        self.accepted = []  # (start, finish) of every packet a link took
-        self.sim = None
+        self.deliveries = 0
+        self.links = []
         counter = self
 
         def counted(original):
             def wrapper(sim, *args, **kwargs):
                 counter.events += 1
-                counter.sim = sim
                 return original(sim, *args, **kwargs)
             return wrapper
 
-        send = SimplexLink.send
+        init = SimplexLink.__init__
         finish = SimplexLink._finish_transmission
 
-        def counted_send(link, packet):
-            start = max(link.sim.now, link._free_at)
-            send(link, packet)
-            counter.accepted.append((start, link._free_at))
+        def registered(link, *args, **kwargs):
+            init(link, *args, **kwargs)
+            counter.links.append(link)
 
-        def counted_finish(link, packet, when):
-            counter.delivered += 1
-            return finish(link, packet, when)
+        def counted_finish(link, *args):
+            counter.deliveries += 1
+            return finish(link, *args)
 
         monkeypatch.setattr(Simulator, "schedule", counted(Simulator.schedule))
         monkeypatch.setattr(Simulator, "timeout", counted(Simulator.timeout))
-        monkeypatch.setattr(SimplexLink, "send", counted_send)
+        monkeypatch.setattr(SimplexLink, "__init__", registered)
         monkeypatch.setattr(SimplexLink, "_finish_transmission",
                             counted_finish)
 
-    def two_event_link_saving(self):
-        """Events the two-event link would have scheduled beyond ours.
-
-        It paid a finish event for every packet that began serializing
-        before the trial stopped and a delivery event for every packet
-        that finished by then (none is dropped here); this link pays one
-        event per accepted packet.  With nothing in flight at the stop,
-        the saving is one event per packet delivered.
-        """
-        stop = self.sim.now
-        began = sum(1 for start, _ in self.accepted if start <= stop)
-        finished = sum(1 for _, finish in self.accepted if finish <= stop)
-        return began + finished - len(self.accepted)
+    @property
+    def packets(self):
+        """Packets the links accepted."""
+        return sum(link.stats.packets_sent for link in self.links)
 
 
 @pytest.fixture
@@ -89,14 +83,11 @@ def work(monkeypatch):
 
 def test_fig8_step_up_trial_work(work):
     run_supply_trial("step-up", seed=0)
-    assert (work.events, len(work.accepted), work.delivered) == (3446, 3024, 3008)
-    # 16 packets were in flight at the stop: 15 still queued behind the
-    # serializer, which the two-event link never began, and 1 in service.
-    assert 6439 - work.events == work.two_event_link_saving() == 3008 - 15
+    # 3 024 packets in 672 delivery events, 670 of them before the stop:
+    # 3 446 - 3 024 + 672 = 1 094 events.
+    assert (work.events, work.packets, work.deliveries) == (1094, 3024, 670)
 
 
 def test_fig14_short_odyssey_trial_work(work):
     run_concurrent_trial("odyssey", seed=0, trace=scale_time(urban_walk(), 0.02))
-    assert (work.events, len(work.accepted), work.delivered) == (13608, 3672, 3671)
-    # 1 packet had finished serializing but was not yet delivered.
-    assert 17280 - work.events == work.two_event_link_saving() == 3671 + 1
+    assert (work.events, work.packets, work.deliveries) == (11879, 3672, 3535)
