@@ -2,11 +2,16 @@
 
 A :class:`BrokerClient` owns a :class:`~repro.transport.tcp.TcpChannel`
 and layers the broker protocol on top: the ``__hello__`` handshake that
-claims a name and learns the registration namespace, awaitable calls with
-per-call timeouts and :class:`~repro.rpc.connection.RetryPolicy` retries
-(the same :class:`~repro.rpc.clock.RetrySchedule` arithmetic the sim path
-uses, on a :class:`~repro.rpc.clock.MonotonicClock`), operation serving
-for relayed calls, window-of-tolerance registration, and upcall receipt.
+claims a name and learns the registration namespace, awaitable calls,
+operation serving for relayed calls, window-of-tolerance registration, and
+upcall receipt.
+
+Calls are the sim connection's exchange on a
+:class:`~repro.rpc.clock.MonotonicClock`: one
+:class:`~repro.rpc.exchange.ExchangeTable` issues the seqs, the same
+:class:`~repro.rpc.clock.RetrySchedule` step drives retries, and the same
+``rpc.*`` telemetry counts them.  A reply to a seq given up on is late; one
+to a seq never issued is a protocol violation that closes the channel.
 
 Connection health feeds a
 :class:`~repro.connectivity.ConnectivityTracker` on wall-clock time —
@@ -16,13 +21,13 @@ socket.
 """
 
 import asyncio
-import itertools
 
 from repro import telemetry
 from repro.connectivity import ConnectivityTracker
-from repro.errors import RemoteCallError, RpcTimeout, TransportError
+from repro.errors import RemoteCallError, RpcError, RpcTimeout, TransportError
 from repro.rpc.clock import MonotonicClock, RetrySchedule, wait_with_deadline
 from repro.rpc.connection import PING_OP, RetryPolicy
+from repro.rpc.exchange import LATE, UNKNOWN, ExchangeTable
 from repro.rpc.messages import CallRequest, CallResponse
 from repro.transport.tcp import connect_tcp
 
@@ -54,13 +59,13 @@ class BrokerClient:
         self.heartbeat_seconds = None
         self.channel = None
         self.tracker = ConnectivityTracker(clock=self.clock.now, name=name)
-        self._seq = itertools.count(1)
-        self._pending = {}  # seq -> Future for an in-flight call
+        self.exchanges = ExchangeTable()  # seq -> Future of a call in flight
         self._local_ops = {}  # full op name -> handler(body) -> reply body
         self._upcall_handler = None
         self._stream_handler = None  # receives non-call frames (bulk)
         self.calls = 0
         self.timeouts = 0
+        self.retries = 0
         self.late_replies = 0
         self.upcalls_received = []
         self.closed = False
@@ -108,8 +113,7 @@ class BrokerClient:
             if exc is None else f"{self.name}: connection lost ({exc})",
         )
         # Fail every in-flight call; their awaiting coroutines see the error.
-        pending, self._pending = self._pending, {}
-        for future in pending.values():
+        for future in self.exchanges.drain().values():
             if not future.done():
                 future.set_exception(error)
 
@@ -124,15 +128,14 @@ class BrokerClient:
         before it."""
         if self.channel is None or self.channel.closed:
             raise TransportError(f"{self.name}: not connected")
-        seq = next(self._seq)
         future = asyncio.get_running_loop().create_future()
-        self._pending[seq] = future
+        seq = self.exchanges.open(future)
         self.calls += 1
         rec = telemetry.RECORDER
         span = None
         if rec.enabled:
-            rec.count("broker_client.calls", op=op)
-            span = rec.begin("broker_client.call", op=op, client=self.name)
+            rec.count("rpc.calls", connection=self.name)
+            span = rec.begin("rpc.call", connection=self.name, op=op)
         request = CallRequest(
             connection_id=self.name, seq=seq, op=op,
             body=body, body_bytes=body_bytes, reply_port="",
@@ -144,11 +147,11 @@ class BrokerClient:
         try:
             response = await wait_with_deadline(future, timeout)
         except asyncio.TimeoutError:
-            self._pending.pop(seq, None)
+            self.exchanges.abandon(seq)
             self.timeouts += 1
             self.tracker.note_failure(probe=probe)
             if rec.enabled:
-                rec.count("broker_client.timeouts", op=op)
+                rec.count("rpc.timeouts", connection=self.name)
                 rec.end(span, status="timeout")
             raise RpcTimeout(
                 f"{self.name}: call {op!r} timed out after {timeout} s"
@@ -157,6 +160,11 @@ class BrokerClient:
             # Connection death surfaced through _on_close.
             if span is not None:
                 rec.end(span, status="error")
+            raise
+        except asyncio.CancelledError:
+            self.exchanges.abandon(seq)  # its reply, if any, comes late
+            if span is not None:
+                rec.end(span, status="cancelled")
             raise
         if span is not None:
             rec.end(span, status="error" if response.error else "ok")
@@ -168,23 +176,14 @@ class BrokerClient:
     async def call_with_retry(self, op, body=None, body_bytes=256,
                               retry=None):
         """Like :meth:`call`, retrying timeouts under a
-        :class:`~repro.rpc.connection.RetryPolicy` with backoff pauses —
-        the wall-clock twin of ``RpcConnection.call_with_retry``."""
-        retry = retry or RetryPolicy()
-        schedule = RetrySchedule(retry, self.clock)
+        :class:`~repro.rpc.connection.RetryPolicy` with backoff pauses."""
+        schedule = RetrySchedule(retry or RetryPolicy(), self.clock)
         while True:
             try:
                 return await self.call(op, body, body_bytes,
                                        timeout=schedule.attempt_timeout())
-            except RpcTimeout:
-                delay = schedule.next_delay()
-                if delay is None:
-                    raise
-                if schedule.past_deadline(delay):
-                    raise RpcTimeout(
-                        f"{self.name}: retry deadline ({retry.deadline} s) "
-                        f"exhausted for {op!r}"
-                    ) from None
+            except RpcTimeout as timeout:
+                delay = schedule.step(timeout, self, self.name)
                 if delay > 0:
                     await self.clock.sleep(delay)
 
@@ -237,9 +236,16 @@ class BrokerClient:
 
     def _on_message(self, message):
         if isinstance(message, CallResponse):
-            future = self._pending.pop(message.seq, None)
-            if future is None or future.done():
-                self.late_replies += 1  # timed out locally; reply wasted
+            future = self.exchanges.settle(message.seq)
+            if future is UNKNOWN:
+                # The channel dies of it, failing every call in flight.
+                raise RpcError(
+                    f"{self.name}: reply for unknown seq {message.seq}")
+            if future is LATE or future.done():  # timed out locally
+                self.late_replies += 1
+                rec = telemetry.RECORDER
+                if rec.enabled:
+                    rec.count("rpc.late_replies", connection=self.name)
                 return
             future.set_result(message)
         elif isinstance(message, CallRequest):

@@ -9,11 +9,11 @@ that under load, inside a live storm:
    ``json.dumps`` (the drill must survive exactly what a disk write
    would);
 2. **crash** — stop every heartbeat prober, fail every in-flight RPC
-   with :class:`~repro.errors.RpcError` (their reply seqs move to the
-   connection's abandoned set so late server replies are dropped, not
-   crashed on), unregister every connection (no goodbye upcalls — a
-   crash does not say goodbye), wipe the in-memory deferred logs (the
-   crash loses RAM; the checkpoint is the disk) and revoke each replayer;
+   with :class:`~repro.errors.RpcError` (their server replies then arrive
+   late, dropped and counted, not crashed on), unregister every
+   connection (no goodbye upcalls — a crash does not say goodbye), wipe
+   the in-memory deferred logs (the crash loses RAM; the checkpoint is
+   the disk) and revoke each replayer;
 3. **restore** — re-adopt every connection (fresh trackers: a restarted
    viceroy re-derives link health from evidence, per ``restore``'s
    contract), restore the snapshot, and restart the heartbeats;
@@ -52,22 +52,21 @@ def reset_in_flight(conn, reason="crash drill"):
     """Fail every pending RPC on ``conn`` and abandon its reply seqs.
 
     Failing the events delivers :class:`RpcError` at each waiter's
-    ``yield`` (callers treat it like any connection reset); abandoning the
-    seqs makes the server's late replies discards instead of
-    unknown-sequence errors, and takes back a window train already logged
-    ahead of now.  Returns the number killed.
+    ``yield`` (callers treat it like any connection reset); draining the
+    connection's exchange table makes the server's replies late (dropped
+    and counted), and a window train already logged ahead of now is taken
+    back.  Returns the number killed.
     """
-    killed = 0
-    for seq, waiter in list(conn._pending.items()):
+    pending = conn.exchanges.drain()
+    for seq, waiter in pending.items():
         # Plain calls wait on the Event itself; windowed fetches wait on
         # the fetch's ``.event``.
         event = getattr(waiter, "event", waiter)
         if not event.triggered:
             event.fail(RpcError(
                 f"{conn.connection_id}: in-flight op {seq} lost ({reason})"))
-        conn._abandon(seq)
-        killed += 1
-    return killed
+        conn._retract(seq)
+    return len(pending)
 
 
 def run_crash_drill(viceroy, reason="chaos drill"):

@@ -20,6 +20,8 @@ per-endpoint logs (:class:`RpcLog`) that the viceroy's estimators observe.
   driven with ``yield from`` inside a simulated process.
 - :mod:`repro.rpc.transfer` — the windowed transfer's cut and receiver,
   with no clock and no transport; the live bulk plane runs it too.
+- :mod:`repro.rpc.exchange` — the table of seqs and exchanges in flight,
+  with no clock and no transport; the live broker client runs it too.
 """
 
 from repro.rpc.connection import RpcConnection, RpcService

@@ -13,13 +13,16 @@ over wall-clock time, so the arithmetic now goes through a clock object:
   :func:`wait_with_deadline` is its per-call timeout.
 
 :class:`RetrySchedule` is the shared driver state: one per operation,
-computing attempt timeouts and deadline checks identically on both clocks.
-The sim path's behaviour is unchanged to the byte — same reads of the
-same clock in the same order.  ``asyncio`` is imported only inside the
-wall-clock functions, so a simulator process never loads it.
+computing attempt timeouts, backoff pauses and deadline checks, and
+counting timeouts and retries, identically on both clocks.  ``asyncio`` is
+imported only inside the wall-clock functions, so a simulator process
+never loads it.
 """
 
 import time
+
+from repro import telemetry
+from repro.errors import RpcTimeout
 
 
 class SimClock:
@@ -82,14 +85,12 @@ class RetrySchedule:
     """One operation's walk through a retry policy, on a given clock.
 
     The driver loop (generator or coroutine) owns control flow; this
-    object owns the arithmetic:
+    object owns the arithmetic and the counting:
 
     - :meth:`attempt_timeout` — the next attempt's timeout, clipped to
       what remains of the overall deadline;
-    - :meth:`next_delay` — the next backoff pause, ``None`` once retries
-      are exhausted;
-    - :meth:`past_deadline` — whether pausing ``delay`` seconds would
-      land past the deadline (no retry may start there).
+    - :meth:`step` — after a timeout, the backoff pause before the next
+      attempt, or the end of the operation.
     """
 
     __slots__ = ("policy", "clock", "deadline_at", "_delays")
@@ -108,9 +109,32 @@ class RetrySchedule:
             timeout = min(timeout, self.deadline_at - self.clock.now())
         return timeout
 
-    def next_delay(self):
-        return next(self._delays, None)
+    def step(self, timeout, counters, label):
+        """After an attempt raised the :class:`~repro.errors.RpcTimeout`
+        ``timeout``: the pause before the next attempt.
 
-    def past_deadline(self, delay):
-        return (self.deadline_at is not None
-                and self.clock.now() + delay >= self.deadline_at)
+        Raises ``timeout`` once retries are exhausted, and a fresh
+        ``RpcTimeout`` when the pause would land past the deadline (no
+        retry may start there).  ``counters`` (a connection or a broker
+        client) counts that timeout, or the retry, as does the ``rpc.*``
+        telemetry under ``connection=label``.
+        """
+        delay = next(self._delays, None)
+        if delay is None:
+            raise timeout
+        rec = telemetry.RECORDER
+        if (self.deadline_at is not None
+                and self.clock.now() + delay >= self.deadline_at):
+            counters.timeouts += 1
+            if rec.enabled:
+                rec.count("rpc.timeouts", connection=label)
+                rec.event("rpc.timeout", connection=label,
+                          what="retry deadline", timeout=self.policy.deadline)
+            raise RpcTimeout(
+                f"{label}: retry deadline ({self.policy.deadline} s) exhausted"
+            ) from None
+        counters.retries += 1
+        if rec.enabled:
+            rec.count("rpc.retries", connection=label)
+            rec.event("rpc.retry", connection=label, backoff=delay)
+        return delay

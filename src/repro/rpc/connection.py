@@ -15,6 +15,11 @@ arrival — ahead of now for a run's later fragments — and counts a run in
 one :meth:`~repro.rpc.transfer.WindowedFetch.take`; a window abandoned
 mid-train takes back what is logged ahead (:meth:`RpcConnection._retract`).
 
+Every seq comes from the connection's
+:class:`~repro.rpc.exchange.ExchangeTable`, which also holds the waiter of
+each exchange in flight: a reply to a seq given up on is late (dropped and
+counted), one to a seq never issued an :class:`~repro.errors.RpcError`.
+
 Reliability: there is no retransmission machinery.  A fragment lost to an
 injected fault leaves its window short and the next window resumes after
 what arrived (:mod:`repro.rpc.transfer`); any other lost packet is a
@@ -22,7 +27,6 @@ timeout.  The protocol's observable behaviour — what gets logged when — is
 what matters for reproducing the paper's estimation agility.
 """
 
-import itertools
 from dataclasses import dataclass
 
 from repro import telemetry
@@ -30,6 +34,7 @@ from repro.errors import RpcError, RpcTimeout
 from repro.sim.events import AnyOf
 from repro.net.packet import HEADER_BYTES, Packet, Train
 from repro.rpc.clock import RetrySchedule, SimClock
+from repro.rpc.exchange import LATE, UNKNOWN, ExchangeTable
 from repro.rpc.logs import RpcLog
 from repro.rpc.messages import (
     BulkPush,
@@ -430,9 +435,7 @@ class RpcConnection:
         self.window_bytes = window_bytes
         self.fragment_bytes = fragment_bytes
         self.log = RpcLog(sim, connection_id)
-        self._seq = itertools.count(1)
-        self._pending = {}
-        self._abandoned = set()  # timed-out seqs whose late replies we drop
+        self.exchanges = ExchangeTable()
         self._ahead = None  # seq of the train logged ahead of now, if any
         self.late_replies = 0
         self.timeouts = 0  # RpcTimeouts raised (any operation)
@@ -468,13 +471,6 @@ class RpcConnection:
         if rec.enabled:
             rec.count("rpc.late_replies", count, connection=self.connection_id)
 
-    def _abandon(self, seq):
-        """Give up on exchange ``seq``: whatever still answers it is dropped
-        and counted as a late reply."""
-        self._pending.pop(seq, None)
-        self._abandoned.add(seq)
-        self._retract(seq)
-
     def _retract(self, seq):
         """Take back a train of ``seq`` logged ahead of now: its fragments
         still to come never arrive for the log, and count as late."""
@@ -504,13 +500,25 @@ class RpcConnection:
         if rec.enabled:
             rec.count("rpc.calls", connection=self.connection_id)
             span = rec.begin("rpc.call", connection=self.connection_id, op=op)
+        self._check_open()
+        event = self.sim.event(name="rpc")
+        seq = self.exchanges.open(event)
+        request = CallRequest(
+            connection_id=self.connection_id,
+            seq=seq,
+            op=op,
+            body=body,
+            body_bytes=body_bytes,
+            reply_port=self._port,
+        )
+        started = self.sim.now
+        self._send(HEADER_BYTES + body_bytes, request)
         try:
-            response = yield from self._exchange(op, body, body_bytes, timeout)
+            reply = yield from self._await(event, seq, timeout, f"call {op!r}")
         except RpcTimeout:
             if span is not None:
                 rec.end(span, status="timeout")
             raise
-        started, reply = response
         elapsed = self.sim.now - started
         observed = max(elapsed - reply.server_seconds, 1e-6)
         if span is not None:
@@ -525,31 +533,10 @@ class RpcConnection:
             raise reply.error
         return reply.body  # (body, bulk_ticket)
 
-    def _exchange(self, op, body, body_bytes, timeout=None):
-        self._check_open()
-        seq = next(self._seq)
-        request = CallRequest(
-            connection_id=self.connection_id,
-            seq=seq,
-            op=op,
-            body=body,
-            body_bytes=body_bytes,
-            reply_port=self._port,
-        )
-        event = self.sim.event(name="rpc")
-        started = self.sim.now
-        self._pending[seq] = event
-        self.client.send(
-            Packet(
-                src=self.client.name,
-                dst=self.server_name,
-                port=self.server_port,
-                size=HEADER_BYTES + body_bytes,
-                payload=request,
-            )
-        )
-        reply = yield from self._await(event, seq, timeout, f"call {op!r}")
-        return started, reply
+    def _send(self, size, payload):
+        self.client.send(Packet(src=self.client.name, dst=self.server_name,
+                                port=self.server_port, size=size,
+                                payload=payload))
 
     def _await(self, event, seq, timeout, what):
         """Wait for ``event``, optionally bounded by ``timeout`` seconds."""
@@ -559,9 +546,9 @@ class RpcConnection:
         deadline = self.sim.timeout(timeout)
         yield AnyOf(self.sim, [event, deadline])
         if not event.triggered:
-            # Abandon the exchange: a late reply must not be mistaken for
-            # a response to some future sequence number.
-            self._abandon(seq)
+            # Abandon the exchange: whatever still answers it is late.
+            self.exchanges.abandon(seq)
+            self._retract(seq)
             self.timeouts += 1
             rec = telemetry.RECORDER
             if rec.enabled:
@@ -581,32 +568,13 @@ class RpcConnection:
 
     def _with_retry(self, attempt, retry):
         """Drive ``attempt(timeout)`` under ``retry``, backing off between timeouts."""
-        retry = retry or RetryPolicy()
-        schedule = RetrySchedule(retry, self.clock)
-        rec = telemetry.RECORDER  # one lookup for the whole retry loop
+        schedule = RetrySchedule(retry or RetryPolicy(), self.clock)
         while True:
             try:
                 result = yield from attempt(schedule.attempt_timeout())
                 return result
-            except RpcTimeout:
-                delay = schedule.next_delay()
-                if delay is None:
-                    raise
-                if schedule.past_deadline(delay):
-                    self.timeouts += 1
-                    if rec.enabled:
-                        rec.count("rpc.timeouts", connection=self.connection_id)
-                        rec.event("rpc.timeout", connection=self.connection_id,
-                                  what="retry deadline", timeout=retry.deadline)
-                    raise RpcTimeout(
-                        f"{self.connection_id}: retry deadline "
-                        f"({retry.deadline} s) exhausted"
-                    )
-                self.retries += 1
-                if rec.enabled:
-                    rec.count("rpc.retries", connection=self.connection_id)
-                    rec.event("rpc.retry", connection=self.connection_id,
-                              backoff=delay)
+            except RpcTimeout as timeout:
+                delay = schedule.step(timeout, self, self.connection_id)
                 if delay > 0:
                     yield self.clock.sleep(delay)
 
@@ -666,7 +634,8 @@ class RpcConnection:
         fetch = _SimFetch(nbytes, self.window_bytes)
         while (window := fetch.next_window()) is not None:
             offset, size = window
-            seq = next(self._seq)
+            fetch.event = self.sim.event(name="window")
+            seq = self.exchanges.open(fetch)
             request = WindowRequest(
                 connection_id=self.connection_id,
                 seq=seq,
@@ -676,22 +645,12 @@ class RpcConnection:
                 fragment_bytes=self.fragment_bytes,
                 reply_port=self._port,
             )
-            fetch.event = self.sim.event(name="window")
             started = self.sim.now
-            self._pending[seq] = fetch
             span = None
             if rec.enabled:
                 span = rec.begin("rpc.window", connection=self.connection_id,
                                  offset=offset, window_bytes=size)
-            self.client.send(
-                Packet(
-                    src=self.client.name,
-                    dst=self.server_name,
-                    port=self.server_port,
-                    size=HEADER_BYTES,
-                    payload=request,
-                )
-            )
+            self._send(HEADER_BYTES, request)
             try:
                 yield from self._await(fetch.event, seq, timeout,
                                        f"window @{offset}")
@@ -721,16 +680,14 @@ class RpcConnection:
         nbytes = int(nbytes)
         if nbytes <= 0:
             raise RpcError(f"push: nbytes must be positive, got {nbytes}")
-        transfer_id = next(self._seq)
-        response_seq = next(self._seq)
+        transfer_id = self.exchanges.open()
         response_event = self.sim.event(name="pushresp")
-        self._pending[response_seq] = response_event
+        response_seq = self.exchanges.open(response_event)
         for offset, window, _, _ in fragments(0, nbytes, nbytes,
                                               self.window_bytes):
             started = self.sim.now
-            seq = next(self._seq)
             event = self.sim.event(name="push")
-            self._pending[seq] = event
+            seq = self.exchanges.open(event)
             for at, frag, last_in_window, last_in_transfer in fragments(
                     offset, offset + window, nbytes, self.fragment_bytes):
                 push = BulkPush(
@@ -745,15 +702,7 @@ class RpcConnection:
                     body=(op, body) if last_in_transfer else None,
                     response_seq=response_seq if last_in_transfer else None,
                 )
-                self.client.send(
-                    Packet(
-                        src=self.client.name,
-                        dst=self.server_name,
-                        port=self.server_port,
-                        size=HEADER_BYTES + frag,
-                        payload=push,
-                    )
-                )
+                self._send(HEADER_BYTES + frag, push)
             yield event
             self.log.add_throughput(started, window)
         response = yield response_event
@@ -769,27 +718,15 @@ class RpcConnection:
             self._on_run(packet)
             return
         message = packet.payload
-        # The abandoned set is empty except around timeouts, so test it
-        # before paying for the getattr — this dispatch runs per packet.
-        if self._abandoned and getattr(message, "seq", None) in self._abandoned:
-            # A reply outliving its timeout: drop it (the exchange's state
-            # is gone) but account for it.
-            self._late(1)
-            if isinstance(message, (CallResponse, WindowAck)):
-                self._abandoned.discard(message.seq)
-            return
-        if isinstance(message, CallResponse):
-            waiter = self._pending.pop(message.seq, None)
-            if waiter is None:
-                raise RpcError(f"{self!r}: response for unknown seq {message.seq}")
-            waiter.succeed(message)
-        elif isinstance(message, WindowAck):
-            waiter = self._pending.pop(message.seq, None)
-            if waiter is None:
-                raise RpcError(f"{self!r}: ack for unknown seq {message.seq}")
-            waiter.succeed(message)
-        else:
+        if not isinstance(message, (CallResponse, WindowAck)):
             raise RpcError(f"{self!r}: unexpected message {message!r}")
+        waiter = self.exchanges.settle(message.seq)
+        if waiter is LATE:
+            self._late(1)  # a reply outliving its exchange: dropped, counted
+        elif waiter is UNKNOWN:
+            raise RpcError(f"{self!r}: reply for unknown seq {message.seq}")
+        else:
+            waiter.succeed(message)
 
     def _on_run(self, train):
         """Take the fragments ``[train.lo, train.hi)`` of a window.
@@ -805,15 +742,13 @@ class RpcConnection:
         message = train.payload
         seq = message.seq
         lo, hi = train.lo, train.hi
-        closes = hi == len(train.sizes)
-        if self._abandoned and seq in self._abandoned:
+        fetch = self.exchanges.get(seq)
+        if fetch is LATE:
             self._late(hi - lo)
-            if closes:
-                self._abandoned.discard(seq)
             return
-        fetch = self._pending.get(seq)
-        if fetch is None:
+        if fetch is UNKNOWN:
             raise RpcError(f"{self!r}: fragments for unknown seq {seq}")
+        closes = hi == len(train.sizes)
         nbytes = message.nbytes
         if hi - lo == 1:
             self._ahead = None
@@ -823,7 +758,7 @@ class RpcConnection:
             self.log.add_deliveries(train.arrivals[lo:hi], nbytes[lo:hi])
         if fetch.take(message.offsets[lo], sum(nbytes[lo:hi]), closes,
                       closes and message.last_in_transfer):
-            del self._pending[seq]
+            self.exchanges.settle(seq)
             fetch.event.succeed()
 
     def _check_open(self):

@@ -406,7 +406,7 @@ def test_timed_out_call_raises_and_its_late_reply_is_counted():
         try:
             with pytest.raises(RpcTimeout, match="'slow' timed out after"):
                 await client.call("slow", timeout=0.05)
-            pending_after_timeout = len(client._pending)
+            pending_after_timeout = len(client.exchanges)
             for _ in range(500):
                 if client.late_replies:
                     break

@@ -36,6 +36,13 @@ async def _nothing():
     return None
 
 
+class Counters:
+    """What a retry step counts on: a connection or a broker client."""
+
+    timeouts = 0
+    retries = 0
+
+
 def test_sim_clock_reads_sim_time():
     sim = Simulator()
     clock = SimClock(sim)
@@ -74,7 +81,7 @@ def test_schedule_without_deadline_never_clips():
     assert schedule.deadline_at is None
     clock.time = 1_000.0
     assert schedule.attempt_timeout() == 3.0
-    assert schedule.past_deadline(1e9) is False
+    assert schedule.step(RpcTimeout("t"), Counters(), "t") == 1.0
 
 
 def test_schedule_clips_attempt_timeout_to_deadline():
@@ -84,8 +91,11 @@ def test_schedule_clips_attempt_timeout_to_deadline():
     assert schedule.attempt_timeout() == 5.0  # plenty of budget left
     clock.time = 6.0
     assert schedule.attempt_timeout() == pytest.approx(2.0)  # clipped
-    assert schedule.past_deadline(1.0) is False
-    assert schedule.past_deadline(2.0) is True  # 6 + 2 >= 8
+    counters = Counters()
+    assert schedule.step(RpcTimeout("t"), counters, "t") == 1.0
+    with pytest.raises(RpcTimeout, match="t: retry deadline"):
+        schedule.step(RpcTimeout("t"), counters, "t")  # 6 + 2 >= 8
+    assert (counters.timeouts, counters.retries) == (1, 1)
 
 
 def test_schedule_walks_the_policy_backoff():
@@ -93,10 +103,15 @@ def test_schedule_walks_the_policy_backoff():
     policy = RetryPolicy(timeout=1.0, retries=3, backoff=0.5,
                          multiplier=2.0)
     schedule = RetrySchedule(policy, clock)
-    delays = [schedule.next_delay() for _ in range(5)]
-    expected = list(policy.delays()) + [None, None]
-    assert delays == expected[:5]
-    assert delays[-1] is None  # exhausted -> the driver re-raises
+    counters = Counters()
+    last = RpcTimeout("last")
+    delays = [schedule.step(RpcTimeout("t"), counters, "t")
+              for _ in policy.delays()]
+    assert delays == list(policy.delays())
+    with pytest.raises(RpcTimeout) as raised:
+        schedule.step(last, counters, "t")
+    assert raised.value is last  # exhausted: the attempt's own timeout
+    assert (counters.timeouts, counters.retries) == (0, 3)
 
 
 def test_broker_client_retry_honours_deadline():

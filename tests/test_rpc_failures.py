@@ -146,7 +146,8 @@ def test_failure_in_the_deadline_instant_raises_it(world, exchange):
         return "reply"
 
     def crash():
-        waiter = next(iter(connection._pending.values()))
+        exchanges = connection.exchanges
+        waiter = exchanges.get(exchanges.issued)  # the one in flight
         getattr(waiter, "event", waiter).fail(RpcError("crashed"))
 
     def saboteur():

@@ -88,3 +88,71 @@ def test_cli_events_out_wraps_experiment_commands(tmp_path, capsys):
     events = [json.loads(line)
               for line in events_path.read_text().strip().split("\n")]
     assert any(e["name"] == "upcall.delivered" for e in events)
+
+
+def rpc_series(recorder):
+    """The ``rpc.*`` counter names and label keys a recorder holds."""
+    return {(c["name"], tuple(c["labels"]))
+            for c in recorder.registry.snapshot()["counters"]
+            if c["name"].startswith("rpc.")}
+
+
+def test_both_clocks_count_calls_under_one_family():
+    """A retried call whose replies all come late counts as ``rpc.calls``,
+    ``rpc.timeouts``, ``rpc.retries`` and ``rpc.late_replies`` per
+    ``connection``, in the simulator and on a real socket alike."""
+    import asyncio
+
+    from repro.broker import BrokerClient
+    from repro.errors import RpcTimeout
+    from repro.net.network import Network
+    from repro.rpc.connection import RetryPolicy, RpcConnection, RpcService
+    from repro.rpc.messages import CallResponse, ServerReply
+    from repro.sim.kernel import Simulator
+    from repro.trace.waveforms import HIGH_BANDWIDTH, constant
+    from tests.test_rpc_exchange import start_server
+
+    with telemetry.enabled() as sim_recorder:
+        sim = Simulator()
+        network = Network(sim, constant(HIGH_BANDWIDTH, duration=3600))
+        service = RpcService(sim, network.add_host("server"), "svc")
+        service.register("slow", lambda body: ServerReply(compute_seconds=1.0))
+        connection = RpcConnection(sim, network, "server", "svc", "c")
+
+        def caller():
+            with pytest.raises(RpcTimeout):
+                yield from connection.call_with_retry(
+                    "slow", retry=RetryPolicy(timeout=0.5, retries=1))
+
+        sim.process(caller())
+        sim.run(until=10.0)
+    assert connection.late_replies == 2
+
+    def answer(channel, request):
+        asyncio.get_running_loop().call_later(
+            0.15, channel.send,
+            CallResponse(request.connection_id, request.seq, None, 64, 0.0))
+
+    async def scenario():
+        server = await start_server(answer)
+        client = await BrokerClient("127.0.0.1", server.port, "x").connect()
+        try:
+            with pytest.raises(RpcTimeout):
+                await client.call_with_retry("slow", retry=RetryPolicy(
+                    timeout=0.05, retries=1, backoff=0.01))
+            for _ in range(500):
+                if client.late_replies == 2:
+                    break
+                await asyncio.sleep(0.01)
+        finally:
+            await client.close(polite=False)
+            await server.close()
+
+    with telemetry.enabled() as live_recorder:
+        asyncio.run(asyncio.wait_for(scenario(), 30.0))
+    family = {(name, ("connection",)) for name in (
+        "rpc.calls", "rpc.timeouts", "rpc.retries", "rpc.late_replies")}
+    assert rpc_series(sim_recorder) == rpc_series(live_recorder) == family
+    for recorder in (sim_recorder, live_recorder):
+        assert {e["name"] for e in recorder.trace.events(kind="begin")} \
+            == {"rpc.call"}
