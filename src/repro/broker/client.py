@@ -227,7 +227,7 @@ class BrokerClient:
 
     def on_stream(self, handler):
         """Install ``handler(message)`` for non-call frames (bulk
-        :class:`~repro.rpc.messages.Fragment` streams and the like).
+        :class:`~repro.rpc.messages.FragmentTrain` streams and the like).
         Without one, such frames are ignored — the base request/response
         protocol never produces them."""
         self._stream_handler = handler
@@ -251,7 +251,7 @@ class BrokerClient:
         elif isinstance(message, CallRequest):
             self._serve(message)
         elif self._stream_handler is not None:
-            # Bulk-transfer frames (Fragment and friends); the wire layer
+            # Bulk-transfer frames (FragmentTrain and friends); the wire layer
             # already guarantees the message decodes to a known type.
             self._stream_handler(message)
 

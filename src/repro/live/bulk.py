@@ -3,22 +3,26 @@
 The protocol is the sim's, from :mod:`repro.rpc.transfer`: the client
 opens a named blob (``__open__``, an ordinary call), then pulls it one
 window at a time — a :class:`~repro.rpc.messages.WindowRequest` per
-window, answered by a flagged train of
-:class:`~repro.rpc.messages.Fragment` frames.  That module cuts the
-windows and fragments and decides when a window closes and when the
-transfer is done.  What this shell adds is the wire:
+window, answered by the window's fragments, the last one flagged.  That
+module cuts the windows and fragments and decides how a train of them is
+taken, when a window closes and when the transfer is done.  What this
+shell adds is the wire:
 
 - every fragment the broker sends reserves the shared
   :class:`~repro.live.throttle.Throttle` (the synthetic link), offered
   when its window's request arrived, and leaves no earlier than a pacing
   granularity before the link finishes it.  The fragments due together
-  form a train that goes out in one socket write, and every write is
-  followed by ``await drain()`` — real TCP backpressure, so a slow or
+  form a train that goes out as one
+  :class:`~repro.rpc.messages.FragmentTrain` frame — the message the
+  sim's link carries a window in — in one socket write, and every write
+  is followed by ``await drain()``: real TCP backpressure, so a slow or
   stalled receiver stops the sender instead of ballooning the send
-  buffer.  An unshaped window is one write; a paced one, one write per
+  buffer.  An unshaped window is one frame; a paced one, one frame per
   fragment;
-- the receiver holds only bytes that continue what it holds (TCP keeps
-  order, so anything else is the tail of an abandoned train), receipts
+- the receiver takes each train as one run of its
+  :class:`~repro.rpc.transfer.WindowedFetch`, holding only bytes that
+  continue what it holds (TCP keeps order, so anything else is the tail
+  of an abandoned train, or a malformed one), receipts
   them with a one-way :class:`~repro.rpc.messages.WindowAck` (the
   ``delivery`` sample) and reports each completed window's elapsed time
   with an awaited ``__report__`` (the ``throughput`` sample) — the same
@@ -28,22 +32,22 @@ transfer is done.  What this shell adds is the wire:
 One window on the wire, receiver on the left::
 
     WindowRequest(transfer, offset)    ->
-                                       <-  Fragment(offset)
+                                       <-  FragmentTrain(offsets)
     WindowAck(transfer, next_offset)   ->                      (no reply)
-                                       <-  Fragment ... last_in_window
+                                       <-  FragmentTrain(...) last_in_window
     WindowAck(transfer, next_offset)   ->                      (no reply)
     CallRequest(__report__ throughput) ->   (same socket write)
                                        <-  CallResponse(level)
 
 A receipt is *cumulative*: ``next_offset`` says "I hold this transfer up
 to here".  The receiver sends one when the window closes and, before
-that, whenever no further fragment has joined what it holds for
+that, whenever no further train has joined what it holds for
 :data:`RECEIPT_HOLD` — so on a slow link every fragment is receipted on
-its own, a millisecond after it arrived, and a train at loopback speed is
-receipted in one frame: TCP's cumulative, delayed ACK.  (How promptly
-the receiver sees a fragment depends on the event loop; how many samples
-a megabyte yields must not, so the pause that ends a train is stated in
-seconds rather than left to queue timing.)  The broker keeps
+its own, a millisecond after it arrived, and the trains of a window at
+loopback speed are receipted in one frame: TCP's cumulative, delayed
+ACK.  (How promptly the receiver sees a train depends on the event
+loop; how many samples a megabyte yields must not, so the pause that
+ends a burst is stated in seconds rather than left to queue timing.)  The broker keeps
 ``[acked, sent]`` for the one window in flight per (session, transfer)
 and absorbs ``next_offset - acked`` bytes as a delivery sample only when
 ``acked < next_offset <= sent``; any other receipt cannot be matched to
@@ -67,7 +71,7 @@ from repro import telemetry
 from repro.broker.server import REPORT_OP
 from repro.errors import BrokerError, LinkDown, RpcTimeout
 from repro.rpc.clock import wait_with_deadline
-from repro.rpc.messages import Fragment, WindowAck, WindowRequest
+from repro.rpc.messages import FragmentTrain, WindowAck, WindowRequest
 from repro.rpc.transfer import WindowedFetch, fragments
 
 #: Ordinary call that registers a blob for pulling: body
@@ -87,10 +91,10 @@ MAX_FRAGMENTS_PER_WINDOW = 64
 #: blackout phase of the demo throttle with room to spare.
 FRAGMENT_TIMEOUT = 30.0
 
-#: How long a mid-window receipt waits for the next fragment to join it,
-#: seconds.  Fragments closer together than this are one train, receipted
-#: in one frame when it pauses or the window closes; further apart, each
-#: is receipted on its own, this long after it arrived.  TCP's delayed
+#: How long a mid-window receipt waits for the next train to join it,
+#: seconds.  Trains closer together than this are receipted in one frame
+#: when they pause or the window closes; further apart, each is
+#: receipted on its own, this long after it arrived.  TCP's delayed
 #: ACK, much tighter: a receipt is an estimator sample, and the link
 #: speeds the estimator has to follow space fragments milliseconds apart.
 RECEIPT_HOLD = 0.001
@@ -218,33 +222,32 @@ class BulkServerMixin:
         every fragment due within a pacing granularity joins one train,
         and a train leaves before the stream sleeps for the next one."""
         throttle = self.throttle
-        train = []
+        transfer_id = request.transfer_id
+        offsets, sizes = [], []
         try:
-            for offset, size, last_in_window, last_in_transfer in fragments(
+            for offset, size, _, last_in_transfer in fragments(
                     window.sent, end, total, request.fragment_bytes):
                 if throttle is not None and size > 0:
                     try:
                         wake = throttle.reserve(size, queued_at)
                     except LinkDown:
                         # Dark for good: what is already due still leaves.
-                        await self._send_train(session, window, train)
+                        await self._send_train(session, transfer_id, window,
+                                               offsets, sizes)
                         raise
                     if wake is not None:
-                        await self._send_train(session, window, train)
+                        await self._send_train(session, transfer_id, window,
+                                               offsets, sizes)
                         await throttle.sleep_until(wake)
                 if session.closed:
                     return
-                if self._windows[session].get(
-                        request.transfer_id) is not window:
+                if self._windows[session].get(transfer_id) is not window:
                     self.streams_aborted += 1  # superseded by a new request
                     return
-                train.append(Fragment(
-                    connection_id="broker", seq=next(self._bulk_seq),
-                    transfer_id=request.transfer_id, offset=offset,
-                    nbytes=size, last_in_window=last_in_window,
-                    last_in_transfer=last_in_transfer,
-                ))
-            await self._send_train(session, window, train)
+                offsets.append(offset)
+                sizes.append(size)
+            await self._send_train(session, transfer_id, window, offsets,
+                                   sizes, True, last_in_transfer)
             self.windows_streamed += 1
         except asyncio.CancelledError:
             self.streams_aborted += 1
@@ -255,17 +258,26 @@ class BulkServerMixin:
             if rec.enabled:
                 rec.count("live.streams_aborted", client=session.name)
 
-    async def _send_train(self, session, window, train):
-        """Write the fragments in ``train`` in one socket write, then wait
-        for the socket to drain; empties ``train``."""
-        if not train:
+    async def _send_train(self, session, transfer_id, window, offsets,
+                          sizes, last_in_window=False,
+                          last_in_transfer=False):
+        """Write the fragments ``offsets`` / ``sizes`` as one
+        :class:`~repro.rpc.messages.FragmentTrain` frame, then wait for
+        the socket to drain; empties both lists."""
+        if not offsets:
             return
-        session.channel.send_train(train)
+        session.channel.send(FragmentTrain(
+            connection_id="broker", seq=next(self._bulk_seq),
+            transfer_id=transfer_id, offsets=offsets[:], nbytes=sizes[:],
+            last_in_transfer=last_in_transfer,
+            last_in_window=last_in_window,
+        ))
         # Receiptable from the moment it is on the socket.
-        window.sent = train[-1].offset + train[-1].nbytes
-        count = len(train)
-        nbytes = window.sent - train[0].offset
-        train.clear()
+        window.sent = offsets[-1] + sizes[-1]
+        count = len(offsets)
+        nbytes = window.sent - offsets[0]
+        offsets.clear()
+        sizes.clear()
         # The backpressure point: a receiver that stops reading parks the
         # stream here until its socket drains.
         await session.channel.drain()
@@ -312,9 +324,11 @@ class TransferResult:
         self.transfer_id = transfer_id
         self.nbytes = 0
         self.windows = 0
+        #: Fragments taken, however many trains carried them.
         self.fragments = 0
         #: Fragments dropped for not continuing the window in flight (the
-        #: tail of a train an earlier, abandoned fetch asked for).
+        #: tail of a train an earlier, abandoned fetch asked for), and
+        #: those of a malformed train.
         self.fragments_stale = 0
         self.seconds = 0.0
         #: Availability estimate returned after each window's throughput
@@ -338,23 +352,23 @@ class TransferResult:
 
 
 class _Inbox:
-    """The fragments that arrived for one fetch, and the future it parks
-    on while there are none.  The fetch is the only taker, so waiting is
-    one future under the deadline every call uses."""
+    """The trains that arrived for one fetch, and the future it parks on
+    while there are none.  The fetch is the only taker, so waiting is one
+    future under the deadline every call uses."""
 
-    __slots__ = ("fragments", "_arrival")
+    __slots__ = ("trains", "_arrival")
 
     def __init__(self):
-        self.fragments = deque()
+        self.trains = deque()
         self._arrival = None
 
-    def put_nowait(self, fragment):
-        self.fragments.append(fragment)
+    def put_nowait(self, train):
+        self.trains.append(train)
         if self._arrival is not None and not self._arrival.done():
             self._arrival.set_result(None)
 
     async def wait(self, seconds):
-        """Return once a fragment is held; :class:`asyncio.TimeoutError`
+        """Return once a train is held; :class:`asyncio.TimeoutError`
         after ``seconds`` without one."""
         self._arrival = asyncio.get_running_loop().create_future()
         try:
@@ -366,9 +380,9 @@ class _Inbox:
 class BulkReceiver:
     """Receiver-driven pulls over one :class:`~repro.broker.BrokerClient`.
 
-    Installs itself as the client's stream handler; fragments route to
-    per-transfer queues, so concurrent fetches of different transfers
-    interleave safely on one connection.
+    Installs itself as the client's stream handler; fragment trains
+    route to per-transfer queues, so concurrent fetches of different
+    transfers interleave safely on one connection.
     """
 
     def __init__(self, client):
@@ -378,7 +392,11 @@ class BulkReceiver:
         client.on_stream(self._on_frame)
 
     def _on_frame(self, message):
-        if isinstance(message, Fragment):
+        # The fetch checks a train's fields; routing it needs only an int
+        # transfer id (an unhashable one must not raise in the read
+        # handler).
+        if type(message) is FragmentTrain \
+                and type(message.transfer_id) is int:
             queue = self._queues.get(message.transfer_id)
             if queue is not None:
                 queue.put_nowait(message)
@@ -412,7 +430,7 @@ class BulkReceiver:
         if transfer_id in self._queues:
             raise BrokerError(f"transfer {transfer_id} already being fetched")
         inbox = self._queues[transfer_id] = _Inbox()
-        arrived = inbox.fragments
+        arrived = inbox.trains
         result = TransferResult(transfer_id)
         fetch = WindowedFetch(nbytes, window_bytes)
         clock = self.client.clock
@@ -450,19 +468,18 @@ class BulkReceiver:
                             send(receipt(fetch.held))  # the train paused
                             receipted = fetch.held
                         continue
-                    fragment = arrived.popleft()
-                    # TCP keeps order, so a fragment that does not continue
-                    # the bytes held is the tail of an abandoned train.
-                    if fragment.offset != fetch.held:
-                        result.fragments_stale += 1
+                    train = arrived.popleft()
+                    taken, stale, closed = fetch.take_train(
+                        train.offsets, train.nbytes, train.last_in_window,
+                        train.last_in_transfer)
+                    result.fragments += taken
+                    if stale:
+                        result.fragments_stale += stale
                         rec = telemetry.RECORDER
                         if rec.enabled:
-                            rec.count("live.fragments_stale", client=name)
-                        continue
-                    result.fragments += 1
-                    if fetch.take(fragment.offset, fragment.nbytes,
-                                  fragment.last_in_window,
-                                  fragment.last_in_transfer):
+                            rec.count("live.fragments_stale", stale,
+                                      client=name)
+                    if closed:
                         break
                 # The closing receipt leads the report in its socket write.
                 held = fetch.held

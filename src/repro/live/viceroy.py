@@ -26,7 +26,7 @@ Two pieces:
   against a live broker.
 
 The bulk-transfer half of the live stack (``__open__`` +
-``WindowRequest``/``Fragment`` streaming through the synthetic
+``WindowRequest``/``FragmentTrain`` streaming through the synthetic
 :class:`~repro.live.throttle.Throttle`) lives in
 :mod:`repro.live.bulk` and is mixed into :class:`LiveBroker` here.
 """
@@ -193,7 +193,7 @@ class LiveBroker(BulkServerMixin, Broker):
       availability (registration-time rejection carries the available
       level, and every estimation sample rechecks all bandwidth windows);
     - the bulk-transfer plane (``__open__`` plus ``WindowRequest`` →
-      ``Fragment`` streaming with ``drain`` backpressure, shaped by a
+      ``FragmentTrain`` streaming with ``drain`` backpressure, shaped by a
       :class:`~repro.live.throttle.Throttle`).
     """
 

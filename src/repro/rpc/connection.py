@@ -748,7 +748,7 @@ class RpcConnection:
             return
         if fetch is UNKNOWN:
             raise RpcError(f"{self!r}: fragments for unknown seq {seq}")
-        closes = hi == len(train.sizes)
+        closes = hi == len(train.sizes) and message.last_in_window
         nbytes = message.nbytes
         if hi - lo == 1:
             self._ahead = None

@@ -64,11 +64,13 @@ class Fragment:
 
 @dataclass(slots=True)
 class FragmentTrain:
-    """A bulk-transfer window's fragments, sent as one train.
+    """Contiguous fragments of a bulk-transfer window, sent as one train.
 
-    The payload of a :class:`~repro.net.packet.Train`: fragment ``i``
-    carries ``nbytes[i]`` bytes from ``offsets[i]``; the last closes the
-    window, and ends the transfer if ``last_in_transfer``.
+    Fragment ``i`` carries ``nbytes[i]`` bytes from ``offsets[i]``; the
+    last closes the window if ``last_in_window``, and ends the transfer
+    if ``last_in_transfer``.  The sim sends a whole window as the payload
+    of one :class:`~repro.net.packet.Train`; the live broker sends the
+    fragments due together as one frame, so its train can end mid-window.
     """
 
     connection_id: str
@@ -77,12 +79,14 @@ class FragmentTrain:
     offsets: list
     nbytes: list
     last_in_transfer: bool
+    last_in_window: bool = True
 
     def fragment(self, i):
         """Fragment ``i`` as a message of its own."""
         last = i == len(self.nbytes) - 1
         return Fragment(self.connection_id, self.seq, self.transfer_id,
-                        self.offsets[i], self.nbytes[i], last,
+                        self.offsets[i], self.nbytes[i],
+                        last and self.last_in_window,
                         last and self.last_in_transfer)
 
 

@@ -8,10 +8,13 @@ plane cut, close, resume and stop a transfer by the same rules:
 
 - :func:`fragments` is the sender's cut of one window;
 - :class:`WindowedFetch` is the receiver: which window to ask for next,
-  and when the transfer is done.
+  how a train of contiguous fragments is taken, and when the transfer is
+  done.
 
 The shells around it own the clocks, the messages and the waiting.
 """
+
+from itertools import accumulate
 
 
 def fragments(offset, end, total, fragment_bytes):
@@ -75,3 +78,41 @@ class WindowedFetch:
             self._done = nbytes == 0 or (
                 last_in_transfer and offset + nbytes == self.held)
         return last_in_window
+
+    def take_train(self, offsets, nbytes, last_in_window, last_in_transfer):
+        """Take a train of contiguous fragments: fragment ``i`` carries
+        ``nbytes[i]`` bytes from ``offsets[i]``, and the flags are the
+        last one's.  Returns ``(taken, stale, closed)``.
+
+        The fragments ahead of the first that continues the bytes held
+        are ``stale``: a receiver that holds bytes contiguously over an
+        ordered stream sees them only as the tail of an abandoned train.
+        The ``taken`` rest are one :meth:`take`, which is what taking
+        them one by one gives.  A train that is not well formed
+        (:func:`is_train`) is stale as a whole, one per size it carries.
+        """
+        if not is_train(offsets, nbytes):
+            claimed = len(nbytes) if type(nbytes) is list else 0
+            return 0, max(1, claimed), False
+        try:
+            first = offsets.index(self.held)
+        except ValueError:
+            return 0, len(offsets), False
+        closed = self.take(offsets[first], sum(nbytes[first:]),
+                           last_in_window, last_in_transfer)
+        return len(offsets) - first, first, closed
+
+
+def is_train(offsets, nbytes):
+    """Whether ``offsets`` and ``nbytes`` are a train :func:`fragments`
+    could have cut: non-empty lists of ints of one length, each fragment
+    starting where the one before it ends, and none empty but a train's
+    only one."""
+    if type(offsets) is not list or type(nbytes) is not list:
+        return False
+    count = len(nbytes)
+    if not count or len(offsets) != count \
+            or {*map(type, offsets), *map(type, nbytes)} != {int} \
+            or min(nbytes) < (1 if count > 1 else 0):
+        return False
+    return list(accumulate(nbytes[:-1], initial=offsets[0])) == offsets

@@ -8,7 +8,12 @@ live Python objects; a real socket needs bytes.  This module is the codec:
   bytes, :class:`~repro.rpc.messages.BulkSource` descriptors, and handler
   exceptions) survives the round trip *equal to what was sent*;
 - **messages** are one JSON array of field values in dataclass field order,
-  identified by a one-byte kind code;
+  identified by a one-byte kind code.  A bulk window travels as
+  :class:`~repro.rpc.messages.FragmentTrain` frames (kind 8), one per
+  train of fragments due together, so a train costs one header, one
+  checksum and one JSON array however many fragments it carries;
+  single :class:`~repro.rpc.messages.Fragment` frames (kind 4) still
+  decode;
 - **frames** wrap a message payload in a fixed 12-byte header::
 
       offset  size  field
@@ -30,6 +35,7 @@ import binascii
 import json
 import struct
 from dataclasses import fields
+from operator import attrgetter
 
 from repro.errors import FrameError, RemoteCallError, WireError
 from repro.rpc.messages import (
@@ -38,6 +44,7 @@ from repro.rpc.messages import (
     CallRequest,
     CallResponse,
     Fragment,
+    FragmentTrain,
     ServerReply,
     WindowAck,
     WindowRequest,
@@ -68,12 +75,15 @@ MESSAGE_KINDS = (
     (5, BulkPush),
     (6, WindowAck),
     (7, ServerReply),
+    (8, FragmentTrain),
 )
 
-_KIND_BY_CLASS = {cls: code for code, cls in MESSAGE_KINDS}
+#: Message class -> (kind code, getter of its field values in order).
+_ENCODING_BY_CLASS = {
+    cls: (code, attrgetter(*(f.name for f in fields(cls))))
+    for code, cls in MESSAGE_KINDS}
 _CLASS_BY_KIND = {code: cls for code, cls in MESSAGE_KINDS}
-_FIELDS_BY_CLASS = {cls: tuple(f.name for f in fields(cls))
-                    for _, cls in MESSAGE_KINDS}
+_FIELD_COUNT_BY_CLASS = {cls: len(fields(cls)) for _, cls in MESSAGE_KINDS}
 
 #: Reserved single-key tags the value codec uses for non-JSON types.
 _TAGS = frozenset(("__tuple__", "__bytes__", "__map__", "__bulk__",
@@ -88,6 +98,9 @@ def _encode_value(value):
     it needs a tag, a rebuilt one otherwise."""
     kind = type(value)
     if kind in _SCALARS:
+        return value
+    if kind is list and _SCALARS.issuperset(map(type, value)):
+        # A list of plain scalars — a train's offsets and sizes — as is.
         return value
     if kind is dict and _TAGS.isdisjoint(value):
         # Exact-type fast path: a string-keyed dict of plain scalars —
@@ -169,12 +182,13 @@ _DECODER = json.JSONDecoder(object_hook=_decode_tag)
 
 def encode_message(message):
     """Encode one RPC message dataclass; returns ``(kind, payload_bytes)``."""
-    cls = type(message)
-    kind = _KIND_BY_CLASS.get(cls)
-    if kind is None:
-        raise WireError(f"{cls.__name__} is not a wire message")
-    values = [_encode_value(getattr(message, name))
-              for name in _FIELDS_BY_CLASS[cls]]
+    encoding = _ENCODING_BY_CLASS.get(type(message))
+    if encoding is None:
+        raise WireError(f"{type(message).__name__} is not a wire message")
+    kind, field_values = encoding
+    # Scalars, most fields of most messages, go through without a call.
+    values = [value if type(value) in _SCALARS else _encode_value(value)
+              for value in field_values(message)]
     try:
         text = _ENCODER.encode(values)
     except (TypeError, ValueError) as exc:
@@ -193,7 +207,7 @@ def decode_message(kind, payload):
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         # RecursionError: arrays nested deeper than the interpreter allows.
         raise WireError(f"undecodable payload for kind {kind}: {exc}") from exc
-    count = len(_FIELDS_BY_CLASS[cls])
+    count = _FIELD_COUNT_BY_CLASS[cls]
     if not isinstance(values, list) or len(values) != count:
         raise WireError(
             f"{cls.__name__} payload carries "

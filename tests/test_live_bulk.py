@@ -9,7 +9,12 @@ from repro.errors import BrokerError, RemoteCallError, RpcTimeout
 from repro.live import BulkReceiver, LiveBroker, Throttle
 from repro.live.bulk import MAX_FRAGMENTS_PER_WINDOW
 from repro.rpc.clock import MonotonicClock
-from repro.rpc.messages import Fragment, WindowAck, WindowRequest
+from repro.rpc.messages import (
+    Fragment,
+    FragmentTrain,
+    WindowAck,
+    WindowRequest,
+)
 from repro.transport.tcp import connect_tcp
 
 
@@ -207,10 +212,10 @@ def test_offset_past_the_end_yields_an_empty_terminal_window():
             await client.close()
             await broker.close()
 
-    (fragment,) = run(scenario())
-    assert fragment.nbytes == 0
-    assert fragment.last_in_window is True
-    assert fragment.last_in_transfer is True
+    (train,) = run(scenario())
+    assert train.nbytes == [0] and train.offsets == [1_000]
+    assert train.last_in_window is True
+    assert train.last_in_transfer is True
 
 
 def test_open_validates_its_body():
@@ -367,9 +372,10 @@ def test_throttle_sleeps_only_for_link_time_worth_a_timer(
 ])
 def test_a_window_costs_a_socket_write_per_due_train(bandwidth, trains):
     """The broker writes every fragment due within a pacing granularity
-    in one write: an unshaped 64 KiB window is one train of eight, and
-    at 2 MB/s each 8 KiB fragment (4.1 ms of link time) is its own.  The
-    receiver's closing receipt leads its report in one write."""
+    as one train frame in one write: an unshaped 64 KiB window is one
+    train of eight, and at 2 MB/s each 8 KiB fragment (4.1 ms of link
+    time) is its own.  The receiver's closing receipt leads its report
+    in one write."""
 
     async def scenario():
         broker = await start_live_broker(
@@ -394,8 +400,8 @@ def test_a_window_costs_a_socket_write_per_due_train(bandwidth, trains):
     writes, frames, rx_writes, rx_frames = (
         a - b for a, b in zip(after, before))
     assert result.fragments == 8 and result.windows == 1
-    # The fragments, then the report's reply.
-    assert (writes, frames) == (trains + 1, 8 + 1)
+    # The trains, then the report's reply.
+    assert (writes, frames) == (trains + 1, trains + 1)
     # Request, mid-window receipts, then receipt + report: one write
     # carries two frames.
     assert rx_frames - rx_writes == 1
@@ -523,11 +529,10 @@ def test_stale_train_is_dropped_and_counted_not_taken_as_payload():
             await asyncio.sleep(0)  # the first window is now requested
             # The tail of a train some earlier, abandoned fetch asked for
             # lands first — closing flag and all.
-            for index in range(4):
-                receiver._on_frame(Fragment(
-                    connection_id="broker", seq=index, transfer_id=transfer_id,
-                    offset=8_192 + 2_048 * index, nbytes=2_048,
-                    last_in_window=index == 3, last_in_transfer=False))
+            receiver._on_frame(FragmentTrain(
+                connection_id="broker", seq=1, transfer_id=transfer_id,
+                offsets=[8_192 + 2_048 * index for index in range(4)],
+                nbytes=[2_048] * 4, last_in_transfer=False))
             result = await fetch
             return result, broker.describe_bulk(), client.channel.closed
         finally:
@@ -540,6 +545,77 @@ def test_stale_train_is_dropped_and_counted_not_taken_as_payload():
     assert result.fragments == 8 and result.windows == 2
     assert result.nbytes == bulk["bytes_streamed"] \
         == bulk["receipt_bytes"] == 16_384
+
+
+@pytest.mark.parametrize("offsets, nbytes, stale", [
+    pytest.param([0, 2_048], [2_048], 1, id="unequal-lengths"),
+    pytest.param([0, 2_048.0], [2_048, 2_048], 2, id="non-int-offset"),
+    pytest.param([0, 2_048], [2_048, "2048"], 2, id="non-int-size"),
+    pytest.param([], [], 1, id="empty-lists"),
+    pytest.param([0, 4_096], [2_048, 2_048], 2, id="gap"),
+])
+def test_a_malformed_train_is_dropped_and_counted_stale(offsets, nbytes,
+                                                        stale):
+    """Delivered through the client's read handler, a train no sender
+    could cut is counted stale and taken as nothing; it never escapes
+    as a ``TypeError`` that would close the channel."""
+
+    async def scenario():
+        broker = await start_live_broker(
+            throttle=Throttle(bandwidth=200_000))
+        client, receiver = await connect_receiver(broker, "alpha")
+        try:
+            transfer_id = await receiver.open("blob", 1 << 20)
+            fetch = asyncio.ensure_future(receiver.fetch(
+                transfer_id, 8_192, window_bytes=8_192,
+                fragment_bytes=2_048))
+            await asyncio.sleep(0)  # the window is now requested
+            client._on_message(FragmentTrain(
+                connection_id="broker", seq=1, transfer_id=transfer_id,
+                offsets=offsets, nbytes=nbytes, last_in_transfer=True))
+            # Neither is this, whose transfer id cannot be looked up.
+            client._on_message(FragmentTrain(
+                connection_id="broker", seq=2, transfer_id=[transfer_id],
+                offsets=[0], nbytes=[8_192], last_in_transfer=True))
+            result = await fetch
+            return result, broker.describe_bulk(), client.channel.closed
+        finally:
+            await client.close()
+            await broker.close()
+
+    result, bulk, closed = run(scenario())
+    assert closed is False
+    assert result.fragments_stale == stale
+    assert result.fragments == 4 and result.windows == 1
+    assert result.nbytes == bulk["bytes_streamed"] \
+        == bulk["receipt_bytes"] == 8_192
+
+
+def test_a_single_fragment_frame_is_not_taken():
+    """The broker sends only trains, and the receiver has one take path:
+    a kind-4 ``Fragment`` frame, still decodable, is not its payload."""
+
+    async def scenario():
+        broker = await start_live_broker(
+            throttle=Throttle(bandwidth=200_000))
+        client, receiver = await connect_receiver(broker, "alpha")
+        try:
+            transfer_id = await receiver.open("blob", 1 << 20)
+            fetch = asyncio.ensure_future(receiver.fetch(
+                transfer_id, 4_096, fragment_bytes=2_048))
+            await asyncio.sleep(0)
+            client._on_message(Fragment(
+                connection_id="broker", seq=1, transfer_id=transfer_id,
+                offset=0, nbytes=4_096, last_in_window=True,
+                last_in_transfer=True))
+            return await fetch
+        finally:
+            await client.close()
+            await broker.close()
+
+    result = run(scenario())
+    assert (result.fragments, result.fragments_stale) == (2, 0)
+    assert result.nbytes == 4_096
 
 
 def test_retried_fetch_supersedes_the_train_still_in_flight():

@@ -336,14 +336,15 @@ def drive(clock, streams, running):
 
 
 class _Channel:
-    """Records every socket write: when, and which fragments."""
+    """Records every socket write: when, and the fragments of its train."""
 
     def __init__(self, clock, writes):
         self.clock = clock
         self.writes = writes
 
-    def send_train(self, fragments):
-        self.writes.append((self.clock.now(), list(fragments)))
+    def send(self, train):
+        self.writes.append((self.clock.now(), [
+            train.fragment(index) for index in range(len(train.nbytes))]))
 
     async def drain(self):
         pass

@@ -1,10 +1,11 @@
 """The windowed transfer core (``repro.rpc.transfer``) and its two receivers.
 
-Three properties: the cutter tiles a window exactly; ``WindowedFetch``
+Four properties: the cutter tiles a window exactly; ``WindowedFetch``
 asks for the same windows and counts the same bytes as the simulated
-receiver's loop did before the core existed; and the live receiver,
-whatever mix of duplicated, reordered and stale fragments reaches it,
-holds its bytes contiguously and receipts each byte exactly once.
+receiver's loop did before the core existed; taking a train as one run
+counts what taking its fragments one by one does; and the live
+receiver, whatever mix of duplicated, reordered and stale trains reaches
+it, holds its bytes contiguously and receipts each byte exactly once.
 """
 
 import asyncio
@@ -17,8 +18,8 @@ from hypothesis import strategies as st
 import repro.live.bulk as bulk
 from repro.live import BulkReceiver
 from repro.rpc.clock import MonotonicClock
-from repro.rpc.messages import Fragment, WindowAck, WindowRequest
-from repro.rpc.transfer import WindowedFetch, fragments
+from repro.rpc.messages import FragmentTrain, WindowAck, WindowRequest
+from repro.rpc.transfer import WindowedFetch, fragments, is_train
 
 
 # -- the cutter ----------------------------------------------------------------
@@ -141,14 +142,131 @@ def test_windowed_fetch_matches_the_simulated_receivers_loop(
     assert sum(got[1]) == nbytes
 
 
+# -- a train as one run, against its fragments one by one ---------------------
+
+def train_of(cut, transfer_id=1):
+    """The :class:`FragmentTrain` of contiguous fragments ``cut``
+    (``fragments`` tuples), flagged as its last one is."""
+    return FragmentTrain(
+        connection_id="broker", seq=0, transfer_id=transfer_id,
+        offsets=[offset for offset, _, _, _ in cut],
+        nbytes=[nbytes for _, nbytes, _, _ in cut],
+        last_in_transfer=cut[-1][3], last_in_window=cut[-1][2])
+
+
+def take_as_run(fetch, train):
+    return fetch.take_train(train.offsets, train.nbytes,
+                            train.last_in_window, train.last_in_transfer)
+
+
+def take_one_by_one(fetch, train):
+    """The live receiver's loop when every fragment was a frame: a
+    fragment that does not continue the bytes held is stale."""
+    taken = stale = 0
+    closed = False
+    for index in range(len(train.nbytes)):
+        fragment = train.fragment(index)
+        if fragment.offset != fetch.held:
+            stale += 1
+            continue
+        taken += 1
+        closed = fetch.take(fragment.offset, fragment.nbytes,
+                            fragment.last_in_window,
+                            fragment.last_in_transfer)
+    return taken, stale, closed
+
+
+def receive(nbytes, window_bytes, trains, take):
+    """Feed ``trains`` to a fetch, asking for the next window whenever
+    one closes; what each train did, and the window asked for last."""
+    fetch = WindowedFetch(nbytes, window_bytes)
+    window = fetch.next_window()
+    seen = []
+    for train in trains:
+        if window is None:
+            break
+        taken, stale, closed = take(fetch, train)
+        seen.append((taken, stale, closed, fetch.held, fetch.received))
+        if closed:
+            window = fetch.next_window()
+    return seen, window
+
+
+@st.composite
+def train_streams(draw):
+    """A transfer's true windows, each cut into trains at drawn points,
+    mixed with copies of slices of any window (duplicates, and stale
+    prefixes where a slice starts behind what is held) and with window
+    tails cut with a different fragment size."""
+    nbytes = draw(st.integers(1, 20_000))
+    window_bytes = draw(st.integers(1, 8_192))
+    fragment_bytes = max(1, window_bytes // draw(st.integers(1, 16)))
+    windows = [list(fragments(offset, min(offset + window_bytes, nbytes),
+                              nbytes, fragment_bytes))
+               for offset in range(0, nbytes, window_bytes)]
+    stream = []
+    for cut in windows:
+        ends = sorted(draw(st.sets(st.integers(1, len(cut)), max_size=4))
+                      | {len(cut)})
+        stream.extend(train_of(cut[lo:hi])
+                      for lo, hi in zip([0, *ends], ends))
+    for _ in range(draw(st.integers(0, 8))):
+        cut = windows[draw(st.integers(0, len(windows) - 1))]
+        if draw(st.booleans()):
+            lo = draw(st.integers(0, len(cut) - 1))
+            noise = cut[lo:draw(st.integers(lo + 1, len(cut)))]
+        else:
+            start = draw(st.integers(cut[0][0], cut[-1][0]))
+            end = cut[-1][0] + cut[-1][1]
+            noise = list(fragments(start, end, nbytes,
+                                   draw(st.integers(1, fragment_bytes))))
+            noise = noise[:draw(st.integers(1, len(noise)))]
+        stream.insert(draw(st.integers(0, len(stream))), train_of(noise))
+    return nbytes, window_bytes, stream
+
+
+@settings(deadline=None)
+@given(case=train_streams())
+def test_a_train_taken_as_one_run_counts_what_its_fragments_do(case):
+    nbytes, window_bytes, trains = case
+    assert all(is_train(t.offsets, t.nbytes) for t in trains)
+    expected = receive(nbytes, window_bytes, trains, take_one_by_one)
+    assert receive(nbytes, window_bytes, trains, take_as_run) == expected
+
+
+@pytest.mark.parametrize("offsets, nbytes", [
+    pytest.param([0, 8], [8], id="unequal-lengths"),
+    pytest.param([0, 8.0], [8, 8], id="float-offset"),
+    pytest.param([0, 8], [8, "8"], id="string-size"),
+    pytest.param([0, 8], [8, True], id="bool-size"),
+    pytest.param([0, None], [8, 8], id="null-offset"),
+    pytest.param([], [], id="empty"),
+    pytest.param(0, [8], id="offsets-not-a-list"),
+    pytest.param([0, 16], [8, 8], id="gap"),
+    pytest.param([0, 4], [8, 8], id="overlap"),
+    pytest.param([0, 8], [8, 0], id="empty-fragment-in-a-train"),
+    pytest.param([0], [-8], id="negative-size"),
+])
+def test_a_malformed_train_is_stale_as_a_whole(offsets, nbytes):
+    fetch = WindowedFetch(64, 64)
+    fetch.next_window()
+    assert not is_train(offsets, nbytes)
+    taken, stale, closed = fetch.take_train(offsets, nbytes, True, True)
+    assert (taken, closed) == (0, False) and stale >= 1
+    assert (fetch.held, fetch.received) == (0, 0)
+    assert fetch.next_window() == (0, 64)
+
+
 # -- the live receiver, through a stub broker ----------------------------------
 
 class StubBroker:
     """The broker side of one :class:`BrokerClient`, in process: answers
-    each ``WindowRequest`` with its true train, mixed with copies of
+    each ``WindowRequest`` with its true fragments, mixed with copies of
     fragments already or not yet sent and the tail of a train behind the
     window, delivered in bursts some of which pause past the receipt
-    hold.  Records every receipt and throughput report."""
+    hold.  A burst's fragments go out as trains, one per run of them
+    that continue each other.  Records every receipt and throughput
+    report."""
 
     def __init__(self, total, noise, bursts):
         self.name = "alpha"
@@ -177,22 +295,14 @@ class StubBroker:
         self.reported.append(body["nbytes"])
         return {"level": None}
 
-    def _fragment(self, transfer_id, cut):
-        offset, nbytes, last_in_window, last_in_transfer = cut
-        return Fragment(connection_id="broker", seq=0,
-                        transfer_id=transfer_id, offset=offset,
-                        nbytes=nbytes, last_in_window=last_in_window,
-                        last_in_transfer=last_in_transfer)
-
     def _serve(self, request):
         offset = request.offset
         end = min(self.total, offset + request.window_bytes)
-        train = [self._fragment(request.transfer_id, cut) for cut in
-                 fragments(offset, end, self.total, request.fragment_bytes)]
+        train = list(fragments(offset, end, self.total,
+                               request.fragment_bytes))
         # The tail of an abandoned train, cut differently, behind the window.
-        behind = [self._fragment(request.transfer_id, cut) for cut in
-                  fragments(offset // 2, offset, self.total,
-                            max(1, request.fragment_bytes // 3))] \
+        behind = list(fragments(offset // 2, offset, self.total,
+                                max(1, request.fragment_bytes // 3))) \
             if offset else []
         copies = self.trains + train + behind
         self.trains.extend(train)
@@ -212,8 +322,14 @@ class StubBroker:
             loop.call_later(delay, self._deliver, burst)
 
     def _deliver(self, burst):
-        for fragment in burst:
-            self._handler(fragment)
+        run = burst[:1]
+        for cut in burst[1:]:
+            offset, nbytes, last_in_window, _ = run[-1]
+            if last_in_window or cut[0] != offset + nbytes:
+                self._handler(train_of(run))
+                run = []
+            run.append(cut)
+        self._handler(train_of(run))
 
 
 class ContiguousFetch(WindowedFetch):

@@ -22,6 +22,7 @@ from repro.rpc.messages import (
     CallRequest,
     CallResponse,
     Fragment,
+    FragmentTrain,
     ServerReply,
     WindowAck,
     WindowRequest,
@@ -87,6 +88,10 @@ fragments = st.builds(Fragment, connection_id=small_text, seq=seqs,
                       transfer_id=seqs, offset=sizes, nbytes=sizes,
                       last_in_window=st.booleans(),
                       last_in_transfer=st.booleans())
+fragment_trains = st.builds(
+    FragmentTrain, connection_id=small_text, seq=seqs, transfer_id=seqs,
+    offsets=st.lists(sizes, max_size=8), nbytes=st.lists(sizes, max_size=8),
+    last_in_transfer=st.booleans(), last_in_window=st.booleans())
 bulk_pushes = st.builds(BulkPush, connection_id=small_text, seq=seqs,
                         transfer_id=seqs, offset=sizes, nbytes=sizes,
                         last_in_window=st.booleans(),
@@ -100,7 +105,7 @@ server_replies = st.builds(ServerReply, body=bodies, body_bytes=sizes,
                            bulk=st.none() | bulk_sources)
 
 messages = (call_requests | call_responses | window_requests | fragments
-            | bulk_pushes | window_acks | server_replies)
+            | fragment_trains | bulk_pushes | window_acks | server_replies)
 
 
 # -- round trips -------------------------------------------------------------
@@ -227,6 +232,8 @@ FIELD_ORDER = {
                "response_seq"),
     WindowAck: ("connection_id", "seq", "transfer_id", "next_offset"),
     ServerReply: ("body", "body_bytes", "compute_seconds", "bulk"),
+    FragmentTrain: ("connection_id", "seq", "transfer_id", "offsets",
+                    "nbytes", "last_in_transfer", "last_in_window"),
 }
 
 
@@ -434,7 +441,7 @@ def test_kind_codes_are_stable():
     assert [(code, cls.__name__) for code, cls in MESSAGE_KINDS] == [
         (1, "CallRequest"), (2, "CallResponse"), (3, "WindowRequest"),
         (4, "Fragment"), (5, "BulkPush"), (6, "WindowAck"),
-        (7, "ServerReply"),
+        (7, "ServerReply"), (8, "FragmentTrain"),
     ]
 
 
